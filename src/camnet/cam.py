@@ -13,6 +13,15 @@ and divided by its max (an identically-zero map stays zero).
 
 The class score Y_c defaults to the pre-softmax logit; softmax
 probability and exp(logit) scores are available via CamConfig.
+
+The Hessian diagonal of gradcam_pp has one closed form.  Every layer
+(Conv, ReLU, MaxPool2, Flatten, Dense, eval-mode Dropout) is piecewise
+linear, so near the input the logits are z = J a in the target
+activations a, and d2Y/dA^2 = diag(J^T S J) = sum_kl S_kl J_k J_l, with
+S = d2Y/dz^2 and J_k the gradient of logit k (one backward pass).  S is 0
+for logit, exp(z_c) e_c e_c^T for exp_logit (the Grad-CAM++ paper's own
+closed form) and the softmax Hessian for probability.  A layer type that
+is not piecewise linear would make this formula wrong.
 """
 
 from dataclasses import dataclass
@@ -25,15 +34,12 @@ from .errors import BuildError, ShapeError
 from .ops import relu
 
 SCORE_KINDS = ("logit", "probability", "exp_logit")
-HESSIAN_KINDS = ("auto", "fd", "fast")
 
 
 @dataclass
 class CamConfig:
     target_layer: int | None = None  # default: deepest Conv layer
     score_kind: str = "logit"
-    fd_step: float = 1e-3
-    hessian: str = "auto"
 
 
 @dataclass
@@ -53,6 +59,9 @@ def _resolve_target(model: nn.Model, cfg: CamConfig) -> int:
     idx = cfg.target_layer
     if idx is None:
         return nn.deepest_conv_index(model.spec)
+    n = len(model.spec.layers)
+    if not 0 <= idx < n:
+        raise BuildError(f"target layer {idx} is out of range; valid: 0..{n - 1}")
     if not isinstance(model.spec.layers[idx], nn.Conv):
         raise BuildError(f"target layer {idx} is {model.spec.layers[idx].canonical()}, "
                          "not a Conv layer")
@@ -68,16 +77,16 @@ def _as_single_batch(image: np.ndarray, spec) -> np.ndarray:
     return x
 
 
-def score_from_logits(logits: np.ndarray, class_index: int, kind: str) -> float:
-    z = logits[0]
-    if kind == "logit":
-        return float(z[class_index])
-    if kind == "probability":
-        e = np.exp(z - z.max())
-        return float(e[class_index] / e.sum())
-    if kind == "exp_logit":
-        return float(np.exp(z[class_index]))
-    raise BuildError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
+def _capture(model: nn.Model, x: np.ndarray) -> np.ndarray:
+    """Capture forward in eval mode; returns the pre-softmax logits (1, K)."""
+    nn.forward(model, x, capture=True)
+    return model.cache.activations[len(model.spec.layers) - 1]
+
+
+def _grad_at(model: nn.Model, idx: int, upstream: np.ndarray) -> np.ndarray:
+    """d<upstream, logits>/dA at layer idx's output, (K, U, V); needs a capture."""
+    grads = nn.backward(model, upstream, need_input_grad=False)
+    return grads.activation_nchw(idx + 1)[0]
 
 
 def _score_logit_grad(logits: np.ndarray, class_index: int, kind: str) -> np.ndarray:
@@ -99,6 +108,22 @@ def _score_logit_grad(logits: np.ndarray, class_index: int, kind: str) -> np.nda
     return g
 
 
+def _score_logit_hessian(logits: np.ndarray, class_index: int, kind: str) -> np.ndarray:
+    """d2(score)/d(logits)^2, shape (K, K)."""
+    k = logits.shape[1]
+    s = np.zeros((k, k))
+    if kind == "probability":
+        e = np.exp(logits[0] - logits.max())
+        p = e / e.sum()
+        d = np.eye(k)[class_index] - p
+        s = p[class_index] * (np.outer(d, d) - (np.diag(p) - np.outer(p, p)))
+    elif kind == "exp_logit":
+        s[class_index, class_index] = np.exp(logits[0, class_index])
+    elif kind != "logit":
+        raise BuildError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
+    return s
+
+
 def grad_wrt_activations(model: nn.Model, image, class_index: int,
                          target_layer: int | None = None,
                          score_kind: str = "logit") -> np.ndarray:
@@ -109,20 +134,19 @@ def grad_wrt_activations(model: nn.Model, image, class_index: int,
     """
     cfg = CamConfig(target_layer=target_layer, score_kind=score_kind)
     idx = _resolve_target(model, cfg)
-    x = _as_single_batch(image, model.spec)
-    nn.forward(model, x, capture=True)
-    logits = model.cache.activations[len(model.spec.layers) - 1]
-    upstream = _score_logit_grad(logits, class_index, score_kind)
-    grads = nn.backward(model, upstream, need_input_grad=False)
-    return grads.activation_nchw(idx + 1)[0]
+    logits = _capture(model, _as_single_batch(image, model.spec))
+    return _grad_at(model, idx, _score_logit_grad(logits, class_index, score_kind))
 
 
-def _combine(alpha: np.ndarray, activations: np.ndarray, input_hw) -> Heatmap:
-    raw = relu(np.einsum("k,kuv->uv", alpha, activations))
-    up = bilinear_resample(raw[:, :, None], input_hw[0], input_hw[1])[:, :, 0]
+def _combine(model: nn.Model, idx: int, alpha: np.ndarray, class_index: int,
+             method: str):
+    """Weights and heatmap from alpha and the cached target activations."""
+    raw = relu(np.einsum("k,kuv->uv", alpha, model.activation_nchw(idx + 1)[0]))
+    _, h, w = model.spec.input_shape
+    up = bilinear_resample(raw[:, :, None], h, w)[:, :, 0]
     m = up.max()
     normalized = up / m if m > 0 else np.zeros_like(up)
-    return Heatmap(raw=raw, normalized=normalized)
+    return CamWeights(alpha, class_index, method), Heatmap(raw, normalized)
 
 
 def gradcam(model: nn.Model, image, class_index: int,
@@ -130,81 +154,27 @@ def gradcam(model: nn.Model, image, class_index: int,
     """Gradient-averaged channel weights: alpha_k = mean_ij dY/dA_kij."""
     cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
-    x = _as_single_batch(image, model.spec)
-    g = grad_wrt_activations(model, x, class_index, idx, cfg.score_kind)
-    acts = model.activation_nchw(idx + 1)[0]
-    alpha = g.mean(axis=(1, 2))
-    weights = CamWeights(alpha=alpha, class_index=class_index, method="gradcam")
-    return weights, _combine(alpha, acts, model.spec.input_shape[1:])
-
-
-def _piecewise_linear_after(model: nn.Model, idx: int) -> bool:
-    tail = model.spec.layers[idx + 1:]
-    ok = (nn.ReLU, nn.MaxPool2, nn.Flatten, nn.Dense, nn.Dropout, nn.SoftmaxOutput)
-    return all(isinstance(l, ok) for l in tail)
+    g = grad_wrt_activations(model, image, class_index, idx, cfg.score_kind)
+    return _combine(model, idx, g.mean(axis=(1, 2)), class_index, "gradcam")
 
 
 def hessian_diag(model: nn.Model, image, class_index: int,
                  target_layer: int | None = None,
                  cfg: CamConfig | None = None) -> np.ndarray:
-    """Diagonal second derivative of the class score w.r.t. the target
-    layer's activations, shape (K, U, V).
-
-    Estimators (cfg.hessian):
-    - "fd": central second differences, re-running the network from the
-      target layer for each perturbed element (authoritative).
-    - "fast": closed form exp(S) * (dS/dA)^2, valid only when the score is
-      exp_logit and every layer after the target is piecewise linear.
-    - "auto": exact zeros for a logit score over a piecewise-linear tail,
-      the fast path when eligible, otherwise fd.
-    """
+    """Diagonal of d2Y_c/dA^2 at the target layer, shape (K, U, V), by the
+    closed form of the module docstring: one capture forward plus one
+    backward pass per class in the support of S.  Leaves the capture cache
+    populated for the caller."""
     cfg = cfg or CamConfig()
     if target_layer is not None:
-        cfg = CamConfig(target_layer, cfg.score_kind, cfg.fd_step, cfg.hessian)
+        cfg = CamConfig(target_layer, cfg.score_kind)
     idx = _resolve_target(model, cfg)
-    x = _as_single_batch(image, model.spec)
-
-    mode = cfg.hessian
-    if mode not in HESSIAN_KINDS:
-        raise BuildError(f"unknown hessian estimator {mode!r}; valid: {HESSIAN_KINDS}")
-    linear_tail = _piecewise_linear_after(model, idx)
-    if mode == "auto":
-        if cfg.score_kind == "logit" and linear_tail:
-            nn.forward(model, x, capture=True)
-            return np.zeros_like(model.activation_nchw(idx + 1)[0])
-        mode = "fast" if (cfg.score_kind == "exp_logit" and linear_tail) else "fd"
-
-    if mode == "fast":
-        if cfg.score_kind != "exp_logit" or not linear_tail:
-            raise BuildError(
-                "fast hessian path needs score_kind='exp_logit' and only "
-                "ReLU/pool/flatten/dense/dropout after the target layer; use "
-                "hessian='fd' instead"
-            )
-        g = grad_wrt_activations(model, x, class_index, idx, "logit")
-        logits = model.cache.activations[len(model.spec.layers) - 1]
-        return np.exp(logits[0, class_index]) * g * g
-
-    # finite differences, restarting the forward pass from the target layer
-    nn.forward(model, x, capture=True)
-    base = model.activation_nchw(idx + 1).copy()
-    h = cfg.fd_step
-    y0 = score_from_logits(nn.forward_from(model, idx, base), class_index,
-                           cfg.score_kind)
-    out = np.empty_like(base[0])
-    flat_base = base.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_base.size):
-        orig = flat_base[i]
-        flat_base[i] = orig + h
-        yp = score_from_logits(nn.forward_from(model, idx, base), class_index,
-                               cfg.score_kind)
-        flat_base[i] = orig - h
-        ym = score_from_logits(nn.forward_from(model, idx, base), class_index,
-                               cfg.score_kind)
-        flat_base[i] = orig
-        flat_out[i] = (yp - 2.0 * y0 + ym) / (h * h)
-    return out
+    logits = _capture(model, _as_single_batch(image, model.spec))
+    s = _score_logit_hessian(logits, class_index, cfg.score_kind)
+    rows = {k: _grad_at(model, idx, np.eye(s.shape[0])[k:k + 1])
+            for k in np.flatnonzero(s.any(axis=0))}
+    zero = np.zeros_like(model.activation_nchw(idx + 1)[0])
+    return sum((s[k, l] * rows[k] * rows[l] for k in rows for l in rows), zero)
 
 
 def gradcam_pp(model: nn.Model, image, class_index: int,
@@ -212,13 +182,11 @@ def gradcam_pp(model: nn.Model, image, class_index: int,
     """Channel weights alpha_k = (1/Z) sum_ij (d2Y/dA^2 + 2 dY/dA)."""
     cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
-    x = _as_single_batch(image, model.spec)
-    hess = hessian_diag(model, x, class_index, idx, cfg)
-    g = grad_wrt_activations(model, x, class_index, idx, cfg.score_kind)
-    acts = model.activation_nchw(idx + 1)[0]
+    hess = hessian_diag(model, image, class_index, idx, cfg)  # runs the forward
+    logits = model.cache.activations[len(model.spec.layers) - 1]
+    g = _grad_at(model, idx, _score_logit_grad(logits, class_index, cfg.score_kind))
     alpha = (hess + 2.0 * g).mean(axis=(1, 2))
-    weights = CamWeights(alpha=alpha, class_index=class_index, method="gradcam_pp")
-    return weights, _combine(alpha, acts, model.spec.input_shape[1:])
+    return _combine(model, idx, alpha, class_index, "gradcam_pp")
 
 
 # ---------------------------------------------------------------------------

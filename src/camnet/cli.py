@@ -22,7 +22,7 @@ from . import gradcheck as gradchecklib
 from . import metrics as metricslib
 from . import model as nn
 from . import optim
-from .errors import CamnetError, ConfigError, WeightMagicError
+from .errors import CamnetError, ConfigError
 
 SECTIONS = {
     "train": optim.TrainConfig,
@@ -41,21 +41,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # run configuration
 
-def _coerce(value: str, current):
+def _coerce(key: str, value: str, current):
     if isinstance(current, bool):
         if value.lower() in ("1", "true", "on", "yes"):
             return True
         if value.lower() in ("0", "false", "off", "no"):
             return False
-        raise ConfigError(f"expected a boolean, got {value!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    if isinstance(current, tuple):
-        return tuple(float(v) for v in value.split(","))
-    if current is None:  # e.g. cam.target_layer
-        return int(value)
+        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    integer = isinstance(current, int) or current is None  # None: cam.target_layer
+    try:
+        if integer:
+            return int(value)
+        if isinstance(current, float):
+            return float(value)
+        if isinstance(current, tuple):
+            return tuple(float(v) for v in value.split(","))
+    except ValueError:
+        expected = "an integer" if integer else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
     return value
 
 
@@ -86,7 +89,7 @@ def load_run_config(config_path=None, overrides=()):
         cfg = configs[section]
         if field not in {f.name for f in dataclasses.fields(cfg)}:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, field, _coerce(value, getattr(cfg, field)))
+        setattr(cfg, field, _coerce(key, value, getattr(cfg, field)))
     return configs
 
 
@@ -203,11 +206,8 @@ def cmd_train(args):
 def _load_model(weights_path):
     """Reconstruct the spec from the weight-file header, then load."""
     with open(weights_path, "rb") as f:
-        head = f.read(65536)
-    if head[:8] != nn.WEIGHT_MAGIC:
-        raise WeightMagicError(f"{weights_path} is not a CAMF0001 file")
-    spec = nn.parse_spec_text(head[8:head.index(b"\n")].decode("utf-8"))
-    return nn.load_weights(spec, weights_path)
+        header, _ = nn.split_weight_header(f.read(65536))
+    return nn.load_weights(nn.parse_spec_text(header), weights_path)
 
 
 def cmd_eval(args):

@@ -19,6 +19,7 @@ from .errors import (
     ShapeError,
     SpecMismatchError,
     TruncatedWeightsError,
+    WeightFormatError,
     WeightMagicError,
 )
 from .rng import Rng
@@ -235,36 +236,38 @@ class Model:
         return _nchw(self.cache.activations[i])
 
 
-def build_model(spec: ModelSpec, init_seed: int) -> Model:
-    """He-uniform init (bound sqrt(6/fan_in)) for conv/dense weights, zero
-    biases, fully determined by init_seed."""
+def _make_model(spec: ModelSpec, rng: Rng | None) -> Model:
+    """Model with He-uniform weights drawn from rng and zero biases, or
+    with uninitialised weights when rng is None."""
     shapes = validate_spec(spec)
-    rng = Rng(init_seed)
     params = []
     in_shape = tuple(spec.input_shape)
     for layer, out_shape in zip(spec.layers, shapes):
         if isinstance(layer, Conv):
-            c = in_shape[0]
-            fan_in = c * layer.kernel * layer.kernel
-            bound = np.sqrt(6.0 / fan_in)
-            n = layer.out_channels * fan_in
-            w = (2.0 * rng.uniform_block(n) - 1.0) * bound
-            params.append({
-                "weights": w.reshape(layer.out_channels, c, layer.kernel, layer.kernel),
-                "bias": np.zeros(layer.out_channels),
-            })
+            fan_in = in_shape[0] * layer.kernel * layer.kernel
+            wshape = (layer.out_channels, in_shape[0], layer.kernel, layer.kernel)
         elif isinstance(layer, Dense):
             fan_in = in_shape[0]
-            bound = np.sqrt(6.0 / fan_in)
-            w = (2.0 * rng.uniform_block(fan_in * layer.units) - 1.0) * bound
-            params.append({
-                "weights": w.reshape(fan_in, layer.units),
-                "bias": np.zeros(layer.units),
-            })
+            wshape = (fan_in, layer.units)
         else:
             params.append({})
+            in_shape = out_shape
+            continue
+        if rng is None:
+            w = np.empty(wshape)
+        else:
+            bound = np.sqrt(6.0 / fan_in)
+            w = ((2.0 * rng.uniform_block(int(np.prod(wshape))) - 1.0) * bound
+                 ).reshape(wshape)
+        params.append({"weights": w, "bias": np.zeros(out_shape[0])})
         in_shape = out_shape
     return Model(spec=spec, params=params, layer_shapes=shapes)
+
+
+def build_model(spec: ModelSpec, init_seed: int) -> Model:
+    """He-uniform init (bound sqrt(6/fan_in)) for conv/dense weights, zero
+    biases, fully determined by init_seed."""
+    return _make_model(spec, Rng(init_seed))
 
 
 def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0,
@@ -426,23 +429,30 @@ def save_weights(model: Model, path) -> None:
             f.write(arr.astype("<f8").tobytes())
 
 
-def load_weights(spec: ModelSpec, path) -> Model:
-    with open(path, "rb") as f:
-        data = f.read()
+def split_weight_header(data: bytes) -> tuple:
+    """(spec header text, offset of the first tensor) of CAMF0001 bytes."""
     if data[:8] != WEIGHT_MAGIC:
         raise WeightMagicError(f"bad magic {data[:8]!r}, expected {WEIGHT_MAGIC!r}")
     nl = data.find(b"\n", 8)
     if nl < 0:
         raise TruncatedWeightsError("missing header line")
-    header = data[8:nl].decode("utf-8")
+    try:
+        return data[8:nl].decode("utf-8"), nl + 1
+    except UnicodeDecodeError as e:
+        raise WeightFormatError("header line is not UTF-8") from e
+
+
+def load_weights(spec: ModelSpec, path) -> Model:
+    with open(path, "rb") as f:
+        data = f.read()
+    header, off = split_weight_header(data)
     if header != spec.canonical():
         raise SpecMismatchError(
             f"weight file was saved for a different spec:\n  file:  {header}\n"
             f"  given: {spec.canonical()}"
         )
 
-    model = build_model(spec, init_seed=0)
-    off = nl + 1
+    model = _make_model(spec, rng=None)
     for li, name, arr in model.param_items():
         if off + 4 > len(data):
             raise TruncatedWeightsError(f"file ends before tensor (layer {li}, {name})")

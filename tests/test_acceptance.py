@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from camnet import cam, data, gradcheck, metrics, model as nn, ops, optim
+from hessian_fd import fd_hessian_diag
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -146,8 +147,7 @@ def test_criterion_4b_exp_toy_hessian(capsys):
     m.params[2]["bias"][...] = 0.0
     a = 0.4
     x = np.full((1, 1, 1), a)
-    cfg = cam.CamConfig(score_kind="exp_logit", hessian="fd", fd_step=1e-3)
-    hess = cam.hessian_diag(m, x, 0, cfg=cfg)
+    hess = fd_hessian_diag(m, x, 0, score_kind="exp_logit", step=1e-3)
     analytic = 4.0 * np.exp(2.0 * a)
     rel = abs(hess[0, 0, 0] - analytic) / analytic
     _report(capsys, "4b",
@@ -160,12 +160,8 @@ def test_criterion_4c_fast_vs_fd_vgg_nano(capsys):
     x = np.random.default_rng(22).random((1, 16, 16))
     c = 1
     h = 1e-3
-    fd = cam.hessian_diag(m, x, c,
-                          cfg=cam.CamConfig(score_kind="exp_logit", hessian="fd",
-                                            fd_step=h))
-    fast = cam.hessian_diag(m, x, c,
-                            cfg=cam.CamConfig(score_kind="exp_logit",
-                                              hessian="fast"))
+    fd = fd_hessian_diag(m, x, c, score_kind="exp_logit", step=h)
+    exact = cam.hessian_diag(m, x, c, cfg=cam.CamConfig(score_kind="exp_logit"))
 
     # mask out elements whose +-h probes cross a ReLU kink or flip a
     # pooling argmax between the target layer and the logits
@@ -197,13 +193,13 @@ def test_criterion_4c_fast_vs_fd_vgg_nano(capsys):
     near_relu2 = (np.abs(z1) <= 2 * h * sensitivity).any(axis=3)
     safe = ~(near_relu1 | near_pool | near_relu2)
 
-    denom = np.maximum(np.abs(fd), np.abs(fast))
-    rel = np.where(denom > 1e-9, np.abs(fd - fast) / np.maximum(denom, 1e-300), 0.0)
+    denom = np.maximum(np.abs(fd), np.abs(exact))
+    rel = np.where(denom > 1e-9, np.abs(fd - exact) / np.maximum(denom, 1e-300), 0.0)
     worst = float(rel[safe].max())
     frac = float(safe.mean())
     ok = worst <= 1e-3 and frac > 0.5
     _report(capsys, "4c",
-            f"fast vs FD Hessian rel {worst:.2e} on {frac:.0%} boundary-free "
+            f"closed-form vs FD Hessian rel {worst:.2e} on {frac:.0%} boundary-free "
             "elements", ok)
 
 

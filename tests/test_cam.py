@@ -5,6 +5,7 @@ import pytest
 
 from camnet import cam, model as nn, ops
 from camnet.errors import BuildError
+from hessian_fd import fd_hessian_diag, kink_free, score_from_logits
 
 
 def _linear_map_model(num_maps, head_columns, input_hw=(2, 2), conv_weights=None,
@@ -118,14 +119,14 @@ def test_gradcam_matches_brute_force_two_maps():
 def test_hessian_linear_head_fd_near_zero():
     m = _linear_map_model(1, np.ones((4, 1)))
     x = np.array([[[0.3, -0.1], [0.7, 0.2]]])
-    hess = cam.hessian_diag(m, x, 0, cfg=cam.CamConfig(hessian="fd"))
+    hess = fd_hessian_diag(m, x, 0)
     assert np.abs(hess).max() <= 1e-6
 
 
 def test_hessian_auto_linear_head_exact_zero():
     m = _linear_map_model(1, np.ones((4, 1)))
     x = np.array([[[0.3, -0.1], [0.7, 0.2]]])
-    hess = cam.hessian_diag(m, x, 0, cfg=cam.CamConfig(hessian="auto"))
+    hess = cam.hessian_diag(m, x, 0)
     assert not hess.any()
 
 
@@ -148,8 +149,7 @@ def test_hessian_exp_toy_fd_matches_analytic():
     m = _scalar_exp_toy()
     a = 0.4
     x = np.full((1, 1, 1), a)
-    cfg = cam.CamConfig(score_kind="exp_logit", hessian="fd", fd_step=1e-3)
-    hess = cam.hessian_diag(m, x, 0, cfg=cfg)
+    hess = fd_hessian_diag(m, x, 0, score_kind="exp_logit", step=1e-3)
     analytic = 4.0 * np.exp(2.0 * a)
     assert abs(hess[0, 0, 0] - analytic) / analytic <= 1e-4
 
@@ -157,17 +157,58 @@ def test_hessian_exp_toy_fd_matches_analytic():
 def test_hessian_fast_matches_exp_toy_exactly():
     m = _scalar_exp_toy()
     x = np.full((1, 1, 1), 0.4)
-    cfg = cam.CamConfig(score_kind="exp_logit", hessian="fast")
+    cfg = cam.CamConfig(score_kind="exp_logit")
     hess = cam.hessian_diag(m, x, 0, cfg=cfg)
     assert hess[0, 0, 0] == pytest.approx(4.0 * np.exp(0.8), rel=1e-12)
 
 
-def test_hessian_fast_rejects_logit_score():
-    m = _scalar_exp_toy()
-    x = np.full((1, 1, 1), 0.4)
-    with pytest.raises(BuildError):
-        cam.hessian_diag(m, x, 0, cfg=cam.CamConfig(score_kind="logit",
-                                                    hessian="fast"))
+def _vgg_nano_16():
+    m = nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 21)
+    return m, np.random.default_rng(22).random((1, 16, 16))
+
+
+def test_hessian_logit_shallow_target_exact_zero():
+    # conv, pooling and dense layers downstream are all piecewise linear
+    m, x = _vgg_nano_16()
+    hess = cam.hessian_diag(m, x, 1, target_layer=0)
+    assert hess.shape == (8, 16, 16)
+    assert not hess.any()
+
+
+@pytest.mark.parametrize("score_kind,target_layer", [
+    ("probability", None), ("exp_logit", 0), ("probability", 0),
+])
+def test_hessian_closed_form_matches_fd(score_kind, target_layer):
+    m, x = _vgg_nano_16()
+    c, h = 1, 1e-3
+    fd = fd_hessian_diag(m, x, c, target_layer, score_kind, step=h)
+    exact = cam.hessian_diag(m, x, c, target_layer,
+                             cam.CamConfig(score_kind=score_kind))
+    safe = kink_free(m, x, target_layer, step=h)
+    # the FD's own rounding error: a few ulp of the score, over h^2
+    nn.forward(m, x[None], capture=True)
+    y0 = score_from_logits(m.cache.activations[-2], c, score_kind)
+    fd_rounding = 8 * np.finfo(float).eps * abs(y0) / (h * h)
+    bound = 1e-3 * np.maximum(np.abs(fd), np.abs(exact)) + fd_rounding
+    assert (np.abs(fd - exact) <= bound)[safe].all()
+    assert safe.mean() > 0.5
+
+
+def test_hessian_probability_is_softmax_hessian_on_linear_head():
+    # logits z = W^T a exactly, so d2p_c/da^2 = diag(W S W^T) with S the
+    # softmax Hessian p_c[(e_c - p)(e_c - p)^T - (diag p - p p^T)]
+    rng = np.random.default_rng(8)
+    head = rng.standard_normal((4, 3))
+    m = _linear_map_model(1, head)
+    x = rng.random((1, 2, 2))
+    c = 2
+    z = x.reshape(-1) @ head
+    p = np.exp(z) / np.exp(z).sum()
+    d = np.eye(3)[c] - p
+    s = p[c] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
+    expect = np.einsum("ik,kl,il->i", head, s, head).reshape(1, 2, 2)
+    hess = cam.hessian_diag(m, x, c, cfg=cam.CamConfig(score_kind="probability"))
+    assert np.abs(hess - expect).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from camnet import cli, data
+from camnet import cli, data, model as nn
 
 
 def run_cli(argv):
@@ -98,6 +98,61 @@ def test_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.camf"
     bad.write_bytes(b"JUNKJUNK\n")
     assert run_cli(["eval", "--data", str(tmp_path), "--weights", str(bad)]) == 2
+
+
+@pytest.fixture(scope="module")
+def explain_inputs(tmp_path_factory):
+    """Untrained 16x16 vgg-nano weights, one image, and two CAMF files whose
+    header line never ends or is not text."""
+    root = tmp_path_factory.mktemp("bad_input")
+    weights = str(root / "model.camf")
+    nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
+                    weights)
+    image = str(root / "x.pgm")
+    data.write_image(image, np.full((16, 16, 1), 128, dtype=np.uint8))
+    headerless = root / "headerless.camf"
+    headerless.write_bytes(nn.WEIGHT_MAGIC + b"input=1x16x16;layers=Conv(8,3,1,1)")
+    binary = root / "binary.camf"
+    binary.write_bytes(nn.WEIGHT_MAGIC + b"\xff\xfe\n")
+    return {"root": str(root), "weights": weights, "image": image,
+            "headerless": str(headerless), "binary": str(binary)}
+
+
+EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
+           "--out", "{root}/out", "--set"]
+
+BAD_INPUTS = [
+    # (argv, exit code, text of the error line)
+    (["train", "--data", "{root}", "--set", "train.epochs=abc"], 1,
+     "train.epochs: expected an integer, got 'abc'"),
+    (["train", "--data", "{root}", "--set", "train.learning_rate=fast"], 1,
+     "train.learning_rate: expected a number, got 'fast'"),
+    (["augment", "--data", "{root}", "--out", "{root}/aug", "--set",
+      "augment.rotation_set=9,x"], 1,
+     "augment.rotation_set: expected a number, got '9,x'"),
+    (EXPLAIN + ["cam.target_layer=abc"], 1,
+     "cam.target_layer: expected an integer, got 'abc'"),
+    (EXPLAIN + ["cam.hessian=fd"], 1, "unknown config key 'cam.hessian'"),
+    (EXPLAIN + ["cam.fd_step=x"], 1, "unknown config key 'cam.fd_step'"),
+    (EXPLAIN + ["cam.target_layer=99"], 2,
+     "target layer 99 is out of range; valid: 0..15"),
+    (EXPLAIN + ["cam.target_layer=-16"], 2,
+     "target layer -16 is out of range; valid: 0..15"),
+    (EXPLAIN + ["cam.target_layer=1"], 2, "target layer 1 is ReLU, not a Conv layer"),
+    (["explain", "--weights", "{headerless}", "--image", "{image}"], 2,
+     "missing header line"),
+    (["eval", "--data", "{root}", "--weights", "{headerless}"], 2,
+     "missing header line"),
+    (["eval", "--data", "{root}", "--weights", "{binary}"], 2,
+     "header line is not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("argv,code,message", BAD_INPUTS,
+                         ids=[" ".join(row[0][-2:]) for row in BAD_INPUTS])
+def test_bad_input_one_error_line(explain_inputs, capsys, argv, code, message):
+    assert run_cli([a.format(**explain_inputs) for a in argv]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_config_file_and_override(corpus, tmp_path):
