@@ -22,6 +22,12 @@ S = d2Y/dz^2 and J_k the gradient of logit k (one backward pass).  S is 0
 for logit, exp(z_c) e_c e_c^T for exp_logit (the Grad-CAM++ paper's own
 closed form) and the softmax Hessian for probability.  A layer type that
 is not piecewise linear would make this formula wrong.
+
+Work per explain: `capture` runs the one eval-mode capture forward, whose
+cache gives the predicted class and feeds every method called with it as
+`cache=` (without one, a method captures the image itself).  Each
+backward pass stops at the output of the target layer and computes no
+parameter gradient, so no layer below the target is visited.
 """
 
 from dataclasses import dataclass
@@ -77,15 +83,25 @@ def _as_single_batch(image: np.ndarray, spec) -> np.ndarray:
     return x
 
 
-def _capture(model: nn.Model, x: np.ndarray) -> np.ndarray:
-    """Capture forward in eval mode; returns the pre-softmax logits (1, K)."""
-    nn.forward(model, x, capture=True)
-    return model.cache.activations[len(model.spec.layers) - 1]
+def capture(model: nn.Model, image) -> nn.ForwardCache:
+    """The one eval-mode capture forward of a single image.  Its cache holds
+    the class probabilities (activations[-1]) and every layer output the
+    saliency methods read; pass it as `cache=` to run them on it."""
+    nn.forward(model, _as_single_batch(image, model.spec), capture=True)
+    return model.cache
 
 
-def _grad_at(model: nn.Model, idx: int, upstream: np.ndarray) -> np.ndarray:
-    """d<upstream, logits>/dA at layer idx's output, (K, U, V); needs a capture."""
-    grads = nn.backward(model, upstream, need_input_grad=False)
+def _logits(model: nn.Model, cache: nn.ForwardCache) -> np.ndarray:
+    """Pre-softmax logits (1, K) of a capture."""
+    return cache.activations[len(model.spec.layers) - 1]
+
+
+def _grad_at(model: nn.Model, cache: nn.ForwardCache, idx: int,
+             upstream: np.ndarray) -> np.ndarray:
+    """d<upstream, logits>/dA at layer idx's output, (K, U, V): a backward
+    that stops there and computes no parameter gradient."""
+    grads = nn.backward(model, upstream, stop=idx + 1, need_param_grads=False,
+                        cache=cache)
     return grads.activation_nchw(idx + 1)[0]
 
 
@@ -126,22 +142,24 @@ def _score_logit_hessian(logits: np.ndarray, class_index: int, kind: str) -> np.
 
 def grad_wrt_activations(model: nn.Model, image, class_index: int,
                          target_layer: int | None = None,
-                         score_kind: str = "logit") -> np.ndarray:
+                         score_kind: str = "logit",
+                         cache: nn.ForwardCache | None = None) -> np.ndarray:
     """dY_c/dA for the target conv layer's output, shape (K, U, V).
 
-    Eval mode (dropout off); leaves the capture cache populated for the
-    caller.
+    Eval mode (dropout off).  Runs on `cache`, a capture of `image`, or
+    captures the image itself when cache is None.
     """
     cfg = CamConfig(target_layer=target_layer, score_kind=score_kind)
     idx = _resolve_target(model, cfg)
-    logits = _capture(model, _as_single_batch(image, model.spec))
-    return _grad_at(model, idx, _score_logit_grad(logits, class_index, score_kind))
+    cache = cache or capture(model, image)
+    g = _score_logit_grad(_logits(model, cache), class_index, score_kind)
+    return _grad_at(model, cache, idx, g)
 
 
-def _combine(model: nn.Model, idx: int, alpha: np.ndarray, class_index: int,
-             method: str):
-    """Weights and heatmap from alpha and the cached target activations."""
-    raw = relu(np.einsum("k,kuv->uv", alpha, model.activation_nchw(idx + 1)[0]))
+def _combine(model: nn.Model, cache: nn.ForwardCache, idx: int, alpha: np.ndarray,
+             class_index: int, method: str):
+    """Weights and heatmap from alpha and the captured target activations."""
+    raw = relu(np.einsum("k,kuv->uv", alpha, cache.activation_nchw(idx + 1)[0]))
     _, h, w = model.spec.input_shape
     up = bilinear_resample(raw[:, :, None], h, w)[:, :, 0]
     m = up.max()
@@ -150,43 +168,44 @@ def _combine(model: nn.Model, idx: int, alpha: np.ndarray, class_index: int,
 
 
 def gradcam(model: nn.Model, image, class_index: int,
-            cfg: CamConfig | None = None):
+            cfg: CamConfig | None = None, cache: nn.ForwardCache | None = None):
     """Gradient-averaged channel weights: alpha_k = mean_ij dY/dA_kij."""
     cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
-    g = grad_wrt_activations(model, image, class_index, idx, cfg.score_kind)
-    return _combine(model, idx, g.mean(axis=(1, 2)), class_index, "gradcam")
+    cache = cache or capture(model, image)
+    g = grad_wrt_activations(model, image, class_index, idx, cfg.score_kind, cache)
+    return _combine(model, cache, idx, g.mean(axis=(1, 2)), class_index, "gradcam")
 
 
 def hessian_diag(model: nn.Model, image, class_index: int,
                  target_layer: int | None = None,
-                 cfg: CamConfig | None = None) -> np.ndarray:
+                 cfg: CamConfig | None = None,
+                 cache: nn.ForwardCache | None = None) -> np.ndarray:
     """Diagonal of d2Y_c/dA^2 at the target layer, shape (K, U, V), by the
-    closed form of the module docstring: one capture forward plus one
-    backward pass per class in the support of S.  Leaves the capture cache
-    populated for the caller."""
+    closed form of the module docstring: one backward pass per class in the
+    support of S, on `cache` or on a capture of `image` when cache is None."""
     cfg = cfg or CamConfig()
     if target_layer is not None:
         cfg = CamConfig(target_layer, cfg.score_kind)
     idx = _resolve_target(model, cfg)
-    logits = _capture(model, _as_single_batch(image, model.spec))
-    s = _score_logit_hessian(logits, class_index, cfg.score_kind)
-    rows = {k: _grad_at(model, idx, np.eye(s.shape[0])[k:k + 1])
+    cache = cache or capture(model, image)
+    s = _score_logit_hessian(_logits(model, cache), class_index, cfg.score_kind)
+    rows = {k: _grad_at(model, cache, idx, np.eye(s.shape[0])[k:k + 1])
             for k in np.flatnonzero(s.any(axis=0))}
-    zero = np.zeros_like(model.activation_nchw(idx + 1)[0])
+    zero = np.zeros_like(cache.activation_nchw(idx + 1)[0])
     return sum((s[k, l] * rows[k] * rows[l] for k in rows for l in rows), zero)
 
 
 def gradcam_pp(model: nn.Model, image, class_index: int,
-               cfg: CamConfig | None = None):
+               cfg: CamConfig | None = None, cache: nn.ForwardCache | None = None):
     """Channel weights alpha_k = (1/Z) sum_ij (d2Y/dA^2 + 2 dY/dA)."""
     cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
-    hess = hessian_diag(model, image, class_index, idx, cfg)  # runs the forward
-    logits = model.cache.activations[len(model.spec.layers) - 1]
-    g = _grad_at(model, idx, _score_logit_grad(logits, class_index, cfg.score_kind))
-    alpha = (hess + 2.0 * g).mean(axis=(1, 2))
-    return _combine(model, idx, alpha, class_index, "gradcam_pp")
+    cache = cache or capture(model, image)
+    hess = hessian_diag(model, image, class_index, idx, cfg, cache)
+    g = _score_logit_grad(_logits(model, cache), class_index, cfg.score_kind)
+    alpha = (hess + 2.0 * _grad_at(model, cache, idx, g)).mean(axis=(1, 2))
+    return _combine(model, cache, idx, alpha, class_index, "gradcam_pp")
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def cmd_train(args):
         tc.seed = args.seed
     ds = datalib.load_directory(args.data)
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
-    manifest = datalib.SplitManifest.read_csv(manifest_path)
+    manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
     train_set = ds.subset(manifest.train)
     val_set = ds.subset(manifest.val)
 
@@ -203,18 +203,11 @@ def cmd_train(args):
           f"val_acc={last.val_acc:.4f} ({weight_path})")
 
 
-def _load_model(weights_path):
-    """Reconstruct the spec from the weight-file header, then load."""
-    with open(weights_path, "rb") as f:
-        header, _ = nn.split_weight_header(f.read(65536))
-    return nn.load_weights(nn.parse_spec_text(header), weights_path)
-
-
 def cmd_eval(args):
-    model = _load_model(args.weights)
+    model = nn.load_weights(None, args.weights)
     ds = datalib.load_directory(args.data)
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
-    manifest = datalib.SplitManifest.read_csv(manifest_path)
+    manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
     test_set = ds.subset(manifest.test)
 
     preds = []
@@ -240,7 +233,7 @@ def cmd_eval(args):
 
 
 def cmd_explain(args):
-    model = _load_model(args.weights)
+    model = nn.load_weights(None, args.weights)
     img_u8 = datalib.read_image(args.image)
     img = datalib.minmax_normalize(img_u8)
     c, h, w = model.spec.input_shape
@@ -248,7 +241,9 @@ def cmd_explain(args):
         img = datalib.resize_bilinear(img, h, w)
     x = np.moveaxis(img, -1, 0)[None]
 
-    probs = nn.forward(model, x)[0]
+    # one capture forward serves the prediction and every method
+    cache = camlib.capture(model, x)
+    probs = cache.activations[-1][0]
     class_index = args.class_index if args.class_index is not None else int(probs.argmax())
     class_name = model.spec.class_names[class_index]
 
@@ -262,7 +257,7 @@ def cmd_explain(args):
     written = []
     for method in methods:
         fn = camlib.gradcam if method == "gradcam" else camlib.gradcam_pp
-        _, heatmap = fn(model, x, class_index, cfg)
+        _, heatmap = fn(model, x, class_index, cfg, cache=cache)
         map_path = os.path.join(out_dir, f"{stem}.{method}.{class_name}.pgm")
         overlay_path = os.path.join(out_dir, f"{stem}.{method}.{class_name}.ppm")
         datalib.write_image(map_path, datalib.f_to_u8(heatmap.normalized[:, :, None]))

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagicError, BadMaxvalError, DataError, ShapeError, ShortDataError
+from .errors import (
+    BadMagicError,
+    BadMaxvalError,
+    BadSizeError,
+    DataError,
+    ShapeError,
+    ShortDataError,
+)
 from .rng import Rng, derive_seed
 
 
@@ -60,6 +67,8 @@ def decode_netpbm(raw: bytes) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as e:
         raise BadMagicError(f"non-numeric header token: {e}") from e
+    if width <= 0 or height <= 0:
+        raise BadSizeError(f"width and height must be positive, got {width}x{height}")
     if maxval != 255:
         raise BadMaxvalError(f"maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -195,12 +204,43 @@ class SplitManifest:
                 w.writerow((i, p, dataset.labels[i], names[i]))
 
     @staticmethod
-    def read_csv(path, seed: int = 0) -> "SplitManifest":
+    def read_csv(path, seed: int = 0, dataset: LabeledDataset | None = None
+                 ) -> "SplitManifest":
+        """Read a manifest written by write_csv.
+
+        With `dataset`, every row must still name the same item of it: the
+        index in range, the same label and the same file, compared as
+        class directory and file name so that the data root may be spelled
+        differently.  A stale or malformed row is a DataError naming it.
+        """
         splits = {"train": [], "val": [], "test": []}
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                splits[row["split"]].append(int(row["index"]))
+            rows = csv.DictReader(f)
+            for row in rows:
+                where = f"manifest {path} line {rows.line_num}"
+                try:
+                    i, label = int(row["index"]), int(row["label"])
+                    splits[row["split"]].append(i)
+                except (KeyError, TypeError, ValueError) as e:
+                    raise DataError(f"{where}: malformed row: {e!r}") from None
+                if dataset is None:
+                    continue
+                if not 0 <= i < len(dataset):
+                    raise DataError(f"{where}: index {i} is out of range for "
+                                    f"{len(dataset)} images; run camnet split again")
+                have = _item_name(dataset.paths[i]) if dataset.paths else ""
+                want = _item_name(row["path"])
+                if label != dataset.labels[i] or (have and want and have != want):
+                    raise DataError(
+                        f"{where}: index {i} names {want} (label {label}), but the "
+                        f"data directory has {have} (label {dataset.labels[i]}) "
+                        "there; run camnet split again")
         return SplitManifest(splits["train"], splits["val"], splits["test"], seed, {})
+
+
+def _item_name(path) -> str:
+    """'<class dir>/<file>' of a corpus image path ('' for no path)."""
+    return "/".join(os.path.normpath(path).split(os.sep)[-2:]) if path else ""
 
 
 def stratified_split(dataset: LabeledDataset, ratios=(0.8, 0.1, 0.1),

@@ -25,6 +25,10 @@ class BadMaxvalError(NetpbmError):
     """Maxval is not 255."""
 
 
+class BadSizeError(NetpbmError):
+    """Width or height is not positive."""
+
+
 class ShortDataError(NetpbmError):
     """Pixel payload is shorter than the header promises."""
 

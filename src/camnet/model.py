@@ -5,10 +5,13 @@ The last layer is always SoftmaxOutput.  `forward` returns class
 probabilities; `backward` takes the upstream gradient w.r.t. the
 PRE-softmax logits (softmax is fused with the loss, see optim.sparse_ce)
 and returns gradients for every parameter plus every cached layer
-output, which is what the saliency code reads.
+output.  The saliency code runs it stopped above its target layer and
+without parameter gradients, and reads the activation gradients only.
 """
 
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +210,10 @@ class ForwardCache:
     dropout_masks: dict
     conv_cols: dict = field(default_factory=dict)
 
+    def activation_nchw(self, i: int) -> np.ndarray:
+        """activations[i] in the public (N,C,H,W) layout when 4-d."""
+        return _nchw(self.activations[i])
+
 
 def _nchw(arr: np.ndarray) -> np.ndarray:
     return ops._to_nchw(arr) if arr.ndim == 4 else arr
@@ -233,7 +240,7 @@ class Model:
         """Cached output of layer i-1 (i=0 is the input), (N,C,H,W) layout."""
         if self.cache is None:
             raise ShapeError("no cached forward; call forward with capture=True")
-        return _nchw(self.cache.activations[i])
+        return self.cache.activation_nchw(i)
 
 
 def _make_model(spec: ModelSpec, rng: Rng | None) -> Model:
@@ -334,18 +341,29 @@ class Gradients:
         return _nchw(self.activations[i])
 
 
-def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True) -> Gradients:
+def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
+             stop: int = 0, need_param_grads: bool = True,
+             cache: ForwardCache | None = None) -> Gradients:
     """Backpropagate from the pre-softmax logits.
 
     `upstream` (N, K) is the gradient of the loss w.r.t. the logits, as
     produced by optim.sparse_ce; the SoftmaxOutput layer itself is fused
-    into the loss and skipped here.  Requires a prior capture forward.
-    The training loop passes need_input_grad=False to skip the unused
-    gradient w.r.t. the input batch.
+    into the loss and skipped here.  Reads `cache`, by default model.cache
+    of the last capture forward.
+
+    The pass runs layers n-1 down to `stop`, so it fills the activation
+    gradients at indices >= stop and leaves the lower ones None.  Without
+    need_param_grads, Conv and Dense layers compute their input gradient
+    only and every parameter dict stays empty: the saliency code stops at
+    the layer above its target this way.  The training loop runs the full
+    pass with need_input_grad=False, which skips only the unused gradient
+    w.r.t. the input batch.
     """
-    if model.cache is None:
+    if cache is None:
+        cache = model.cache
+    if cache is None:
         raise ShapeError("backward requires a prior forward with capture=True")
-    acts = model.cache.activations
+    acts = cache.activations
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ShapeError(f"upstream shape {g.shape} != output shape {acts[-1].shape}")
@@ -355,19 +373,19 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True) -
     act_grads = [None] * (n_layers + 1)
     act_grads[n_layers] = g  # by the fused convention, also the logit gradient
 
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(n_layers - 1, stop - 1, -1):
         layer = model.spec.layers[i]
         x_in = acts[i]
         p = model.params[i]
         if isinstance(layer, SoftmaxOutput):
             pass  # fused with the loss; gradient passes through unchanged
         elif isinstance(layer, Conv):
-            want_gx = need_input_grad or i > 0
             g, gw, gb = ops.conv2d_backward_nhwc(
                 x_in, p["weights"], layer.stride, layer.pad, g,
-                need_input_grad=want_gx,
-                cols=model.cache.conv_cols.get(i))
-            param_grads[i] = {"weights": gw, "bias": gb}
+                need_input_grad=need_input_grad or i > 0,
+                cols=cache.conv_cols.get(i), need_param_grads=need_param_grads)
+            if need_param_grads:
+                param_grads[i] = {"weights": gw, "bias": gb}
         elif isinstance(layer, MaxPool2):
             g = ops.maxpool2_backward_nhwc(x_in, g)
         elif isinstance(layer, ReLU):
@@ -377,11 +395,13 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True) -
             c, h, w = x_in.shape[3], x_in.shape[1], x_in.shape[2]
             g = ops._to_nhwc(g.reshape(n, c, h, w))
         elif isinstance(layer, Dense):
-            g, gw, gb = ops.dense_backward(x_in, p["weights"], g)
-            param_grads[i] = {"weights": gw, "bias": gb}
+            g, gw, gb = ops.dense_backward(x_in, p["weights"], g,
+                                           need_param_grads=need_param_grads)
+            if need_param_grads:
+                param_grads[i] = {"weights": gw, "bias": gb}
         elif isinstance(layer, Dropout):
-            if i in model.cache.dropout_masks:
-                g = g * model.cache.dropout_masks[i]
+            if i in cache.dropout_masks:
+                g = g * cache.dropout_masks[i]
         act_grads[i] = g
     return Gradients(param_grads, act_grads)
 
@@ -429,50 +449,55 @@ def save_weights(model: Model, path) -> None:
             f.write(arr.astype("<f8").tobytes())
 
 
-def split_weight_header(data: bytes) -> tuple:
-    """(spec header text, offset of the first tensor) of CAMF0001 bytes."""
-    if data[:8] != WEIGHT_MAGIC:
-        raise WeightMagicError(f"bad magic {data[:8]!r}, expected {WEIGHT_MAGIC!r}")
-    nl = data.find(b"\n", 8)
-    if nl < 0:
+def read_weight_header(f) -> str:
+    """Spec header text of an open CAMF0001 file; leaves f at the first tensor."""
+    magic = f.read(8)
+    if magic != WEIGHT_MAGIC:
+        raise WeightMagicError(f"bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
+    line = f.readline()
+    if not line.endswith(b"\n"):
         raise TruncatedWeightsError("missing header line")
     try:
-        return data[8:nl].decode("utf-8"), nl + 1
+        return line[:-1].decode("utf-8")
     except UnicodeDecodeError as e:
         raise WeightFormatError("header line is not UTF-8") from e
 
 
-def load_weights(spec: ModelSpec, path) -> Model:
-    with open(path, "rb") as f:
-        data = f.read()
-    header, off = split_weight_header(data)
-    if header != spec.canonical():
-        raise SpecMismatchError(
-            f"weight file was saved for a different spec:\n  file:  {header}\n"
-            f"  given: {spec.canonical()}"
-        )
+def load_weights(spec: ModelSpec | None, path) -> Model:
+    """Load a CAMF0001 file in one pass.  With spec None, the spec is parsed
+    from the file's header line; otherwise the header must match it.
 
-    model = _make_model(spec, rng=None)
-    for li, name, arr in model.param_items():
-        if off + 4 > len(data):
-            raise TruncatedWeightsError(f"file ends before tensor (layer {li}, {name})")
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if off + 4 * rank > len(data):
-            raise TruncatedWeightsError(f"file ends inside dims (layer {li}, {name})")
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        if dims != arr.shape:
+    Each tensor is read straight into its final C-contiguous, aligned,
+    writable float64 array (optimizer_step updates them in place).
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = read_weight_header(f)
+        if spec is None:
+            spec = parse_spec_text(header)
+        elif header != spec.canonical():
             raise SpecMismatchError(
-                f"tensor shape {dims} != expected {arr.shape} (layer {li}, {name})"
+                f"weight file was saved for a different spec:\n  file:  {header}\n"
+                f"  given: {spec.canonical()}"
             )
-        nbytes = int(np.prod(dims)) * 8
-        if off + nbytes > len(data):
-            raise TruncatedWeightsError(f"file ends mid-tensor (layer {li}, {name})")
-        model.params[li][name] = np.frombuffer(
-            data, dtype="<f8", count=int(np.prod(dims)), offset=off
-        ).reshape(dims).copy()
-        off += nbytes
+
+        model = _make_model(spec, rng=None)
+        for li, name, arr in model.param_items():
+            if f.tell() + 4 > size:
+                raise TruncatedWeightsError(f"file ends before tensor (layer {li}, {name})")
+            (rank,) = struct.unpack("<I", f.read(4))
+            if f.tell() + 4 * rank > size:
+                raise TruncatedWeightsError(f"file ends inside dims (layer {li}, {name})")
+            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
+            if dims != arr.shape:
+                raise SpecMismatchError(
+                    f"tensor shape {dims} != expected {arr.shape} (layer {li}, {name})"
+                )
+            if f.tell() + arr.nbytes > size or \
+                    f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise TruncatedWeightsError(f"file ends mid-tensor (layer {li}, {name})")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)  # the file is little-endian
     return model
 
 

@@ -97,12 +97,13 @@ def conv2d_nhwc(x, weights, bias, stride: int = 1, pad: int = 0,
 
 
 def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True,
-                         cols=None):
-    """Gradients for conv2d_nhwc.
+                         cols=None, need_param_grads=True):
+    """Gradients for conv2d_nhwc, as (grad_input, grad_weights, grad_bias).
 
     grad_input is skipped when not needed (the first layer of a network
-    during training); `cols` accepts the patch matrix from a paired
-    forward call.
+    during training), and so are grad_weights and grad_bias (a saliency
+    pass reads activation gradients only); a skipped gradient is None.
+    `cols` accepts the patch matrix from a paired forward call.
     """
     n, h, w, c = x.shape
     o, _, kh, kw = weights.shape
@@ -111,12 +112,14 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
         raise ShapeError(f"conv grad_out shape {grad_out.shape} != {(n, oh, ow, o)}")
 
     g = grad_out.reshape(n * oh * ow, o)
-    if cols is None:
-        cols = _im2col_nhwc(_pad_nhwc(x, pad), kh, kw, stride, oh, ow)
-    grad_w = np.ascontiguousarray(
-        (cols.T @ g).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
-    )
-    grad_b = g.sum(axis=0)
+    grad_w = grad_b = None
+    if need_param_grads:
+        if cols is None:
+            cols = _im2col_nhwc(_pad_nhwc(x, pad), kh, kw, stride, oh, ow)
+        grad_w = np.ascontiguousarray(
+            (cols.T @ g).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
+        )
+        grad_b = g.sum(axis=0)
 
     grad_x = None
     if need_input_grad:
@@ -238,9 +241,14 @@ def dense(x, weights, bias) -> np.ndarray:
     return x @ weights + bias
 
 
-def dense_backward(x, weights, grad_out):
+def dense_backward(x, weights, grad_out, need_param_grads=True):
+    """(grad_input, grad_weights, grad_bias); the last two are None without
+    need_param_grads."""
     x, weights, grad_out = _as_f64(x), _as_f64(weights), _as_f64(grad_out)
-    return grad_out @ weights.T, x.T @ grad_out, grad_out.sum(axis=0)
+    grad_x = grad_out @ weights.T
+    if not need_param_grads:
+        return grad_x, None, None
+    return grad_x, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 def relu(x) -> np.ndarray:

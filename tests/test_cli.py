@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from camnet import cli, data, model as nn
+from camnet import cli, data, model as nn, ops
 
 
 def run_cli(argv):
@@ -102,8 +102,9 @@ def test_data_error_exit_code(tmp_path):
 
 @pytest.fixture(scope="module")
 def explain_inputs(tmp_path_factory):
-    """Untrained 16x16 vgg-nano weights, one image, and two CAMF files whose
-    header line never ends or is not text."""
+    """Untrained 16x16 vgg-nano weights, one image, two CAMF files whose
+    header line never ends or is not text, two PGMs with a negative or zero
+    size, and a corpus whose split.csv went stale when an image was deleted."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
@@ -114,8 +115,14 @@ def explain_inputs(tmp_path_factory):
     headerless.write_bytes(nn.WEIGHT_MAGIC + b"input=1x16x16;layers=Conv(8,3,1,1)")
     binary = root / "binary.camf"
     binary.write_bytes(nn.WEIGHT_MAGIC + b"\xff\xfe\n")
+    (root / "negative.pgm").write_bytes(b"P5 -4 -2 255\n")
+    (root / "zero.pgm").write_bytes(b"P5 0 5 255\n")
+    stale = str(root / "stale")
+    assert run_cli(["synth", "--out", stale, "--n", "4", "--size", "16"]) == 0
+    assert run_cli(["split", "--data", stale]) == 0
+    os.remove(os.path.join(stale, "0_disk", "00001.pgm"))
     return {"root": str(root), "weights": weights, "image": image,
-            "headerless": str(headerless), "binary": str(binary)}
+            "headerless": str(headerless), "binary": str(binary), "stale": stale}
 
 
 EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
@@ -145,6 +152,14 @@ BAD_INPUTS = [
      "missing header line"),
     (["eval", "--data", "{root}", "--weights", "{binary}"], 2,
      "header line is not UTF-8"),
+    (["explain", "--weights", "{weights}", "--image", "{root}/negative.pgm"], 2,
+     "width and height must be positive, got -4x-2"),
+    (["explain", "--weights", "{weights}", "--image", "{root}/zero.pgm"], 2,
+     "width and height must be positive, got 0x5"),
+    (["train", "--data", "{stale}", "--out", "{root}/run"], 2,
+     "manifest {stale}/split.csv line 3: index 1 names 0_disk/00001.pgm (label 0), "
+     "but the data directory has 0_disk/00002.pgm (label 0) there; "
+     "run camnet split again"),
 ]
 
 
@@ -152,7 +167,27 @@ BAD_INPUTS = [
                          ids=[" ".join(row[0][-2:]) for row in BAD_INPUTS])
 def test_bad_input_one_error_line(explain_inputs, capsys, argv, code, message):
     assert run_cli([a.format(**explain_inputs) for a in argv]) == code
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message.format(**explain_inputs)}"]
+
+
+def test_explain_both_runs_one_forward_and_no_conv_backward(explain_inputs,
+                                                            monkeypatch):
+    calls = {"forward": 0, "conv2d_backward_nhwc": 0, "backward": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    count(nn, "forward")
+    count(nn, "backward")
+    count(ops, "conv2d_backward_nhwc")
+    argv = EXPLAIN[:-1] + ["--method", "both"]
+    assert run_cli([a.format(**explain_inputs) for a in argv]) == 0
+    assert calls == {"forward": 1, "conv2d_backward_nhwc": 0, "backward": 2}
 
 
 def test_config_file_and_override(corpus, tmp_path):

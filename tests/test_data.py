@@ -7,6 +7,7 @@ from camnet import data
 from camnet.errors import (
     BadMagicError,
     BadMaxvalError,
+    BadSizeError,
     DataError,
     ShapeError,
     ShortDataError,
@@ -50,6 +51,13 @@ def test_bad_magic_and_maxval():
         data.decode_netpbm(b"P3\n1 1\n255\n0")
     with pytest.raises(BadMaxvalError):
         data.decode_netpbm(b"P5\n1 1\n65535\n\0\0")
+
+
+@pytest.mark.parametrize("header", [b"P5 -4 -2 255\n", b"P5 0 5 255\n",
+                                    b"P6 3 0 255\n"])
+def test_nonpositive_size_rejected(header):
+    with pytest.raises(BadSizeError, match="must be positive"):
+        data.decode_netpbm(header + b"\0" * 16)
 
 
 def test_encode_rejects_wrong_dtype():
@@ -167,6 +175,29 @@ def test_manifest_csv_round_trip(tmp_path):
     m2 = data.SplitManifest.read_csv(path)
     assert (sorted(m2.train), sorted(m2.val), sorted(m2.test)) == \
            (m.train, m.val, m.test)
+
+
+def test_manifest_rows_checked_against_dataset(tmp_path):
+    ds = _fake_dataset((4, 4, 4))
+    ds.paths = [f"root/{lab}/{i:02d}.pgm" for i, lab in enumerate(ds.labels)]
+    m = data.stratified_split(ds, seed=5)
+    path = tmp_path / "split.csv"
+    m.write_csv(path, ds)
+    moved = data.LabeledDataset(ds.images, ds.labels, ds.class_names,
+                                [p.replace("root/", "./elsewhere/") for p in ds.paths])
+    assert data.SplitManifest.read_csv(path, dataset=moved).train == m.train
+
+    shorter = data.LabeledDataset(ds.images[:-1], ds.labels[:-1], ds.class_names,
+                                  ds.paths[:-1])
+    with pytest.raises(DataError, match="line 13: index 11 is out of range for 11"):
+        data.SplitManifest.read_csv(path, dataset=shorter)
+    relabeled = data.LabeledDataset(ds.images, [1] + ds.labels[1:], ds.class_names,
+                                    ds.paths)
+    with pytest.raises(DataError, match="line 2: index 0 names 0/00.pgm .label 0."):
+        data.SplitManifest.read_csv(path, dataset=relabeled)
+    path.write_text(path.read_text().replace(",train", ",bogus", 1))
+    with pytest.raises(DataError, match="malformed row"):
+        data.SplitManifest.read_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,35 @@ def test_backward_activation_gradient_shape():
             == m.activation_nchw(conv_idx + 1).shape)
 
 
+@pytest.mark.parametrize("target", [0, 2, 5, 7])
+def test_stopped_backward_matches_full_and_skips_params(monkeypatch, target):
+    spec = nn.preset("vgg-nano", input_hw=(16, 16))
+    assert isinstance(spec.layers[target], nn.Conv)
+    m = nn.build_model(spec, 3)
+    x = np.random.default_rng(5).random((2, 1, 16, 16))
+    nn.forward(m, x, capture=True)
+    upstream = np.random.default_rng(6).standard_normal((2, 3))
+    full = nn.backward(m, upstream)
+
+    param_grads = []
+    for name in ("conv2d_backward_nhwc", "dense_backward"):
+        op = getattr(ops, name)
+
+        def spy(*args, op=op, **kwargs):
+            out = op(*args, **kwargs)
+            param_grads.extend(out[1:])
+            return out
+        monkeypatch.setattr(ops, name, spy)
+    stop = target + 1
+    stopped = nn.backward(m, upstream, stop=stop, need_param_grads=False)
+
+    assert param_grads and all(g is None for g in param_grads)
+    assert all(p == {} for p in stopped.params)
+    assert all(g is None for g in stopped.activations[:stop])
+    for i in range(stop, len(full.activations)):
+        assert stopped.activations[i].tobytes() == full.activations[i].tobytes(), i
+
+
 def test_forward_from_matches_forward():
     m = nn.build_model(TOY, 4)
     x = np.random.default_rng(3).random((1, 1, 8, 8))
@@ -200,6 +229,34 @@ def test_save_load_round_trip(tmp_path):
     # bytes round-trip exactly
     nn.save_weights(m2, tmp_path / "w2.camf")
     assert (tmp_path / "w.camf").read_bytes() == (tmp_path / "w2.camf").read_bytes()
+
+
+def test_load_gives_aligned_writable_bit_equal_params(tmp_path):
+    m = nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 7)
+    path = tmp_path / "w.camf"
+    nn.save_weights(m, path)
+    m2 = nn.load_weights(m.spec, path)
+    for (li, name, a), (_, _, b) in zip(m.param_items(), m2.param_items()):
+        assert b.dtype == np.float64 and b.shape == a.shape, (li, name)
+        assert b.flags.c_contiguous and b.flags.aligned and b.flags.writeable
+        assert b.tobytes() == a.tobytes(), (li, name)
+    assert nn.load_weights(None, path).spec == m.spec
+
+
+def test_load_truncated_at_every_byte(tmp_path):
+    m = nn.build_model(TOY, 7)
+    path = tmp_path / "w.camf"
+    nn.save_weights(m, path)
+    data = path.read_bytes()
+    header_end = data.index(b"\n") + 1
+    short = tmp_path / "short.camf"
+    for n in range(len(data)):
+        short.write_bytes(data[:n])
+        expect = WeightMagicError if n < 8 else TruncatedWeightsError
+        with pytest.raises(expect) as err:
+            nn.load_weights(TOY, short)
+        if 8 <= n < header_end:
+            assert str(err.value) == "missing header line"
 
 
 def test_load_bad_magic(tmp_path):
