@@ -158,11 +158,12 @@ def cmd_augment(args):
     print(f"augmented {len(ds)} images into {args.out}")
 
 
-def _model_spec_for(args, num_classes, class_names, input_hw):
+def _model_spec_for(args, class_names, input_hw, channels):
     if args.spec:
         with open(args.spec) as f:
             return nn.parse_spec_text(f.read())
-    return nn.preset(args.preset, class_names=tuple(class_names), input_hw=input_hw)
+    return nn.preset(args.preset, class_names=tuple(class_names), input_hw=input_hw,
+                     channels=channels)
 
 
 def cmd_train(args):
@@ -176,8 +177,8 @@ def cmd_train(args):
     train_set = ds.subset(manifest.train)
     val_set = ds.subset(manifest.val)
 
-    hw = ds.images[0].shape[:2]
-    spec = _model_spec_for(args, len(ds.class_names), ds.class_names, hw)
+    h, w, c = ds.image_shape()
+    spec = _model_spec_for(args, ds.class_names, (h, w), c)
     model = nn.build_model(spec, init_seed=tc.seed)
 
     augment = None
@@ -208,6 +209,7 @@ def cmd_eval(args):
     ds = datalib.load_directory(args.data)
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
     manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
+    ds.image_shape()  # a DataError naming the first image of another shape
     test_set = ds.subset(manifest.test)
 
     preds = []

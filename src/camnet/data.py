@@ -170,6 +170,21 @@ class LabeledDataset:
     def __len__(self):
         return len(self.labels)
 
+    def image_shape(self) -> tuple:
+        """(H, W, C) shared by every image of a loaded corpus.  Raises
+        DataError naming the first image whose shape differs from the
+        first image's."""
+        first = self.images[0].shape
+        for i, img in enumerate(self.images):
+            if img.shape != first:
+                h, w, c = img.shape
+                h0, w0, c0 = first
+                raise DataError(
+                    f"{self.paths[i]} is {h}x{w}x{c}, but {self.paths[0]} is "
+                    f"{h0}x{w0}x{c0}; every image must have the same size and "
+                    "channel count")
+        return first
+
     def subset(self, indices) -> "LabeledDataset":
         return LabeledDataset(
             images=[self.images[i] for i in indices],

@@ -387,7 +387,7 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
             if need_param_grads:
                 param_grads[i] = {"weights": gw, "bias": gb}
         elif isinstance(layer, MaxPool2):
-            g = ops.maxpool2_backward_nhwc(x_in, g)
+            g = ops.maxpool2_backward_nhwc(x_in, g, out=acts[i + 1])
         elif isinstance(layer, ReLU):
             g = ops.relu_backward(x_in, g)
         elif isinstance(layer, Flatten):
@@ -508,8 +508,10 @@ PRESETS = ("vgg-nano", "vgg-micro")
 DEFAULT_CLASS_NAMES = ("glioma", "menin", "tumor")
 
 
-def preset(name: str, class_names=DEFAULT_CLASS_NAMES, input_hw=(128, 128)) -> ModelSpec:
-    """Scaled-down VGG-style specs for grayscale input."""
+def preset(name: str, class_names=DEFAULT_CLASS_NAMES, input_hw=(128, 128),
+           channels: int = 1) -> ModelSpec:
+    """Scaled-down VGG-style specs; grayscale input unless `channels` says
+    otherwise (3 for an RGB corpus)."""
     if name not in PRESETS:
         raise BuildError(f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}")
     k = len(class_names)
@@ -524,4 +526,4 @@ def preset(name: str, class_names=DEFAULT_CLASS_NAMES, input_hw=(128, 128)) -> M
     layers = tuple(blocks) + (
         Flatten(), Dense(128), ReLU(), Dropout(0.5), Dense(k), SoftmaxOutput(),
     )
-    return ModelSpec((1,) + tuple(input_hw), layers, tuple(class_names))
+    return ModelSpec((channels,) + tuple(input_hw), layers, tuple(class_names))

@@ -9,8 +9,17 @@ adapters around them.
 
 `conv2d` is im2col + matmul.  `conv2d_reference` is the naive-loop
 definition; the two agree to BLAS rounding (checked in the test suite)
-and the fast path is bit-deterministic run to run.  `finite_diff_grad`
-is the independent oracle every backward rule is verified against.
+and the fast path is bit-deterministic run to run.  A stride-1 conv's
+input gradient is computed one image at a time, from an im2col of that
+image's grad_out over exactly the input positions.  The max-pool
+backward routes each window's gradient to the first position equal to
+the pooled output, which the model passes from its forward cache, so it
+recomputes no argmax.  Both it and the ReLU backward multiply grad_out's
+bit pattern by a 0/1 mask, which keeps every value exactly and writes
++0.0 elsewhere.
+`finite_diff_grad` is the independent oracle every backward rule is
+verified against; `tests/kernels_ref.py` holds plainer versions of the
+fast kernels, which must give the same bytes.
 """
 
 import numpy as np
@@ -124,16 +133,7 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
     grad_x = None
     if need_input_grad:
         if stride == 1:
-            # full correlation of grad_out with channel-swapped, 180-degree
-            # flipped weights; much less memory traffic than col2im
-            w2 = np.ascontiguousarray(
-                weights.transpose(2, 3, 0, 1)[::-1, ::-1]
-            ).reshape(kh * kw * o, c)
-            gp = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-            gcols = _im2col_nhwc(gp, kh, kw, 1, h + 2 * pad, w + 2 * pad)
-            grad_xp = (gcols @ w2).reshape(n, h + 2 * pad, w + 2 * pad, c)
-            grad_x = grad_xp if pad == 0 else np.ascontiguousarray(
-                grad_xp[:, pad:-pad, pad:-pad, :])
+            grad_x = _conv_input_grad_stride1(weights, pad, grad_out, (n, h, w, c))
         else:
             # scatter columns back onto the padded input (col2im)
             grad_cols = (g @ _weights_cols(weights).T).reshape(n, oh, ow, kh, kw, c)
@@ -145,6 +145,34 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
             grad_x = grad_xp if pad == 0 else np.ascontiguousarray(
                 grad_xp[:, pad:-pad, pad:-pad, :])
     return grad_x, grad_w, grad_b
+
+
+def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
+    """Input gradient of a stride-1 conv, one image at a time.
+
+    It is the full correlation of grad_out with the channel-swapped,
+    180-degree flipped weights.  grad_out is padded by k-1-pad per side
+    (cropped where that is negative), so each image's im2col covers
+    exactly the h*w input positions and its matmul writes straight into
+    grad_x, with no crop and no full-batch patch matrix.
+    """
+    n, h, w, c = x_shape
+    o, _, kh, kw = weights.shape
+    w2 = np.ascontiguousarray(
+        weights.transpose(2, 3, 0, 1)[::-1, ::-1]
+    ).reshape(kh * kw * o, c)
+    qh, qw = kh - 1 - pad, kw - 1 - pad
+    gp = grad_out
+    if qh > 0 or qw > 0:
+        gp = np.pad(gp, ((0, 0), (max(qh, 0),) * 2, (max(qw, 0),) * 2, (0, 0)))
+    if qh < 0 or qw < 0:
+        ch, cw = max(-qh, 0), max(-qw, 0)
+        gp = gp[:, ch:gp.shape[1] - ch, cw:gp.shape[2] - cw]
+    grad_x = np.empty(x_shape)
+    for b in range(n):
+        np.matmul(_im2col_nhwc(gp[b:b + 1], kh, kw, 1, h, w), w2,
+                  out=grad_x[b].reshape(h * w, c))
+    return grad_x
 
 
 def conv2d(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -190,37 +218,53 @@ def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndar
     return out
 
 
-def maxpool2_nhwc(x) -> np.ndarray:
+def _windows(x):
+    """x (N,H,W,C) as (N, H/2, 2, W/2, 2, C); [:, :, di, :, dj] is one
+    window position."""
     n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+    return x.reshape(n, h // 2, 2, w // 2, 2, c)
 
 
-def maxpool2_backward_nhwc(x, grad_out) -> np.ndarray:
-    n, h, w, c = x.shape
-    # flatten each 2x2 window in (row, col) order; argmax takes the first max
-    windows = np.ascontiguousarray(
-        x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-    ).reshape(n, h // 2, w // 2, 4, c)
-    which = windows.argmax(axis=3)
-    grad_flat = np.zeros_like(windows)
-    np.put_along_axis(grad_flat, which[:, :, :, None, :], grad_out[:, :, :, None, :],
-                      axis=3)
-    return np.ascontiguousarray(
-        grad_flat.reshape(n, h // 2, w // 2, 2, 2, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(n, h, w, c)
-    )
+def maxpool2_nhwc(x) -> np.ndarray:
+    v = _windows(x)
+    out = np.maximum(v[:, :, 0, :, 0], v[:, :, 0, :, 1])
+    np.maximum(out, v[:, :, 1, :, 0], out=out)
+    np.maximum(out, v[:, :, 1, :, 1], out=out)
+    return out
+
+
+def maxpool2_backward_nhwc(x, grad_out, out=None) -> np.ndarray:
+    """Routes each window's gradient to its first position, in (row, col)
+    order, that equals the pooled output `out`: the position argmax picks
+    in a window without NaN.
+
+    `out` is the forward's result, recomputed when not given.  Each
+    position gets grad_out's bit pattern times its 0/1 mask, so it holds
+    grad_out exactly (-0.0 included) or +0.0.
+    """
+    v = _windows(x)
+    if out is None:
+        out = maxpool2_nhwc(x)
+    if grad_out.shape != out.shape:
+        raise ShapeError(f"maxpool2 grad_out shape {grad_out.shape} != {out.shape}")
+    grad_x = np.empty_like(x)
+    gv = _windows(grad_x).view(np.int64)
+    g_bits = _as_f64(grad_out).view(np.int64)
+    free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+    hit = np.empty(out.shape, dtype=bool)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):  # (row, col) order
+        np.equal(v[:, :, di, :, dj], out, out=hit)
+        hit &= free
+        free ^= hit
+        np.multiply(g_bits, hit, out=gv[:, :, di, :, dj])
+    return grad_x
 
 
 def maxpool2(x) -> np.ndarray:
     """2x2 max pooling, stride 2, (N,C,H,W) layout."""
-    x = _as_f64(x)
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+    return _to_nchw(maxpool2_nhwc(_to_nhwc(_as_f64(x))))
 
 
 def maxpool2_backward(x, grad_out) -> np.ndarray:
@@ -256,8 +300,15 @@ def relu(x) -> np.ndarray:
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
-    # subgradient 0 at exactly 0
-    return np.where(_as_f64(x) > 0.0, grad_out, 0.0)
+    """grad_out where x > 0, else +0.0 (subgradient 0 at exactly 0).
+
+    grad_out's bit pattern times the 0/1 mask, so every kept value, -0.0
+    and NaN included, passes through unchanged; a float multiply would
+    give -0.0 for negative values off the mask.  Returns a new array:
+    callers keep references to grad_out.
+    """
+    return np.multiply(_as_f64(grad_out).view(np.int64),
+                       _as_f64(x) > 0.0).view(np.float64)
 
 
 def softmax(logits) -> np.ndarray:

@@ -1,0 +1,63 @@
+"""Reference kernels for the fast ops, shared by the test modules.
+
+These are earlier, plainer formulations of four `camnet.ops` kernels. The
+library's versions do less work but must give the same bytes, so the
+tests compare them with `tobytes()`, not with a tolerance:
+
+- `maxpool2_nhwc`: a multi-axis `max` over each 2x2 window;
+- `maxpool2_backward_nhwc`: `argmax` over a transposed copy of the
+  windows, then `put_along_axis` into zeros;
+- `relu_backward`: `np.where`;
+- `conv_input_grad_stride1`: one im2col of the whole batch's grad_out,
+  padded by k-1 per side, over the padded input positions, then a crop.
+
+The conv reference matches the per-image version byte for byte only
+where BLAS row results do not depend on the number of rows. That holds
+for OpenBLAS at the channel counts of the presets (8, 16 and 32), not at
+every shape: 2-4 columns, or a single row, take other code paths.
+"""
+
+import numpy as np
+
+from camnet import ops
+
+
+def maxpool2_nhwc(x):
+    n, h, w, c = x.shape
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+
+
+def maxpool2_backward_nhwc(x, grad_out, out=None):
+    """`out` is accepted, so model.backward can call this, and ignored."""
+    n, h, w, c = x.shape
+    # flatten each 2x2 window in (row, col) order; argmax takes the first max
+    windows = np.ascontiguousarray(
+        x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    ).reshape(n, h // 2, w // 2, 4, c)
+    which = windows.argmax(axis=3)
+    grad_flat = np.zeros_like(windows)
+    np.put_along_axis(grad_flat, which[:, :, :, None, :], grad_out[:, :, :, None, :],
+                      axis=3)
+    return np.ascontiguousarray(
+        grad_flat.reshape(n, h // 2, w // 2, 2, 2, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(n, h, w, c)
+    )
+
+
+def relu_backward(x, grad_out):
+    return np.where(np.asarray(x, dtype=np.float64) > 0.0, grad_out, 0.0)
+
+
+def conv_input_grad_stride1(weights, pad, grad_out, x_shape):
+    """Same signature as ops._conv_input_grad_stride1."""
+    n, h, w, c = x_shape
+    o, _, kh, kw = weights.shape
+    w2 = np.ascontiguousarray(
+        weights.transpose(2, 3, 0, 1)[::-1, ::-1]
+    ).reshape(kh * kw * o, c)
+    gp = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+    gcols = ops._im2col_nhwc(gp, kh, kw, 1, h + 2 * pad, w + 2 * pad)
+    grad_xp = (gcols @ w2).reshape(n, h + 2 * pad, w + 2 * pad, c)
+    return grad_xp if pad == 0 else np.ascontiguousarray(
+        grad_xp[:, pad:-pad, pad:-pad, :])

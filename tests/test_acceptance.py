@@ -288,6 +288,7 @@ print(f"RESULT {train_acc!r} {test_acc!r} {elapsed!r}")
 """
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_learning(capsys):
     r = subprocess.run([sys.executable, "-c", _CRITERION_8_SCRIPT],
                        capture_output=True, text=True)

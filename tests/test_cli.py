@@ -104,7 +104,8 @@ def test_data_error_exit_code(tmp_path):
 def explain_inputs(tmp_path_factory):
     """Untrained 16x16 vgg-nano weights, one image, two CAMF files whose
     header line never ends or is not text, two PGMs with a negative or zero
-    size, and a corpus whose split.csv went stale when an image was deleted."""
+    size, a corpus whose split.csv went stale when an image was deleted,
+    and a 16x16 corpus with one 20x20 image."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
@@ -121,8 +122,14 @@ def explain_inputs(tmp_path_factory):
     assert run_cli(["synth", "--out", stale, "--n", "4", "--size", "16"]) == 0
     assert run_cli(["split", "--data", stale]) == 0
     os.remove(os.path.join(stale, "0_disk", "00001.pgm"))
+    mixed = str(root / "mixed")
+    assert run_cli(["synth", "--out", mixed, "--n", "4", "--size", "16"]) == 0
+    data.write_image(os.path.join(mixed, "1_rect", "00002.pgm"),
+                     np.full((20, 20, 1), 99, dtype=np.uint8))
+    assert run_cli(["split", "--data", mixed]) == 0
     return {"root": str(root), "weights": weights, "image": image,
-            "headerless": str(headerless), "binary": str(binary), "stale": stale}
+            "headerless": str(headerless), "binary": str(binary), "stale": stale,
+            "mixed": mixed}
 
 
 EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
@@ -160,6 +167,13 @@ BAD_INPUTS = [
      "manifest {stale}/split.csv line 3: index 1 names 0_disk/00001.pgm (label 0), "
      "but the data directory has 0_disk/00002.pgm (label 0) there; "
      "run camnet split again"),
+    (["train", "--data", "{mixed}", "--out", "{root}/mixed_run"], 2,
+     "{mixed}/1_rect/00002.pgm is 20x20x1, but {mixed}/0_disk/00000.pgm is 16x16x1; "
+     "every image must have the same size and channel count"),
+    (["eval", "--data", "{mixed}", "--weights", "{weights}",
+      "--out", "{root}/mixed_eval"], 2,
+     "{mixed}/1_rect/00002.pgm is 20x20x1, but {mixed}/0_disk/00000.pgm is 16x16x1; "
+     "every image must have the same size and channel count"),
 ]
 
 
@@ -188,6 +202,29 @@ def test_explain_both_runs_one_forward_and_no_conv_backward(explain_inputs,
     argv = EXPLAIN[:-1] + ["--method", "both"]
     assert run_cli([a.format(**explain_inputs) for a in argv]) == 0
     assert calls == {"forward": 1, "conv2d_backward_nhwc": 0, "backward": 2}
+
+
+def test_train_ppm_corpus_builds_rgb_preset(tmp_path):
+    d = str(tmp_path / "rgb")
+    rng = np.random.default_rng(0)
+    for cls in ("a", "b", "c"):
+        os.makedirs(os.path.join(d, cls))
+        for i in range(10):
+            data.write_image(os.path.join(d, cls, f"{i}.ppm"),
+                             rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
+    assert run_cli(["split", "--data", d]) == 0
+    out = str(tmp_path / "run")
+    assert run_cli(["train", "--data", d, "--out", out,
+                    "--set", "train.epochs=1", "--set", "train.batch_size=4"]) == 0
+    assert "model_spec=input=3x16x16;" in open(os.path.join(out, "run.txt")).read()
+    assert run_cli(["eval", "--data", d, "--weights", os.path.join(out, "model.camf"),
+                    "--out", str(tmp_path / "eval")]) == 0
+
+
+def test_augment_accepts_mixed_sizes(explain_inputs, tmp_path):
+    out = str(tmp_path / "aug")
+    assert run_cli(["augment", "--data", explain_inputs["mixed"], "--out", out]) == 0
+    assert data.read_image(os.path.join(out, "1_rect", "00002.pgm")).shape == (20, 20, 1)
 
 
 def test_config_file_and_override(corpus, tmp_path):

@@ -1,5 +1,6 @@
 """Model graph: spec validation, forward/backward, serialization, presets."""
 
+import kernels_ref
 import numpy as np
 import pytest
 
@@ -205,6 +206,38 @@ def test_stopped_backward_matches_full_and_skips_params(monkeypatch, target):
     assert all(g is None for g in stopped.activations[:stop])
     for i in range(stop, len(full.activations)):
         assert stopped.activations[i].tobytes() == full.activations[i].tobytes(), i
+
+
+def test_training_backward_matches_reference_kernels(monkeypatch):
+    """A vgg-nano train-mode step gives the same gradient bytes with the
+    plainer kernels of tests/kernels_ref.py.  The step runs each of them,
+    the input gradient at 8 and 16 channels, and its dropout sends -0.0
+    upstreams into the dense ReLU."""
+    spec = nn.preset("vgg-nano", input_hw=(32, 32))
+    m = nn.build_model(spec, 9)
+    x = np.random.default_rng(8).random((4, 1, 32, 32))
+    upstream = np.random.default_rng(10).standard_normal((4, 3))
+
+    def step():
+        nn.forward(m, x, train_mode=True, dropout_seed=4, capture=True)
+        return nn.backward(m, upstream, need_input_grad=False)
+    fast = step()
+    monkeypatch.setattr(ops, "maxpool2_nhwc", kernels_ref.maxpool2_nhwc)
+    monkeypatch.setattr(ops, "maxpool2_backward_nhwc",
+                        kernels_ref.maxpool2_backward_nhwc)
+    monkeypatch.setattr(ops, "relu_backward", kernels_ref.relu_backward)
+    monkeypatch.setattr(ops, "_conv_input_grad_stride1",
+                        kernels_ref.conv_input_grad_stride1)
+    ref = step()
+
+    assert any((np.signbit(g) & (g == 0.0)).any()  # some -0.0 gradients
+               for g in ref.activations[1:])
+    for i, (a, b) in enumerate(zip(fast.activations, ref.activations)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), i
+    for i, (pa, pb) in enumerate(zip(fast.params, ref.params)):
+        assert pa.keys() == pb.keys(), i
+        for name in pa:
+            assert pa[name].tobytes() == pb[name].tobytes(), (i, name)
 
 
 def test_forward_from_matches_forward():

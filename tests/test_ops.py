@@ -1,5 +1,6 @@
 """Primitive ops: hand examples, reference agreement, finite differences."""
 
+import kernels_ref
 import numpy as np
 import pytest
 
@@ -78,6 +79,22 @@ def test_conv_backward_stride1_finite_difference():
     assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("pad", [0, 1, 2, 3])
+@pytest.mark.parametrize("c,o", [(8, 8), (8, 16), (16, 16)])
+def test_conv_input_grad_matches_reference_bytes(n, pad, c, o):
+    # channel counts of the presets; see kernels_ref for why they matter
+    r = np.random.default_rng(100 * pad + c + o)
+    x = r.standard_normal((n, 10, 8, c))
+    w = r.standard_normal((o, c, 3, 3))
+    oh, ow = ops.conv_output_hw(10, 8, 3, 3, 1, pad)
+    g = r.standard_normal((n, oh, ow, o))
+    gx, _, _ = ops.conv2d_backward_nhwc(x, w, 1, pad, g, need_param_grads=False)
+    ref = kernels_ref.conv_input_grad_stride1(w, pad, g, x.shape)
+    assert gx.shape == x.shape and gx.flags.c_contiguous
+    assert gx.tobytes() == ref.tobytes()
+
+
 def test_conv_shape_errors():
     with pytest.raises(ShapeError):
         ops.conv2d(np.zeros((1, 1, 3, 3)), np.ones((1, 1, 5, 5)), np.zeros(1))
@@ -116,6 +133,44 @@ def test_maxpool_finite_difference():
 def test_maxpool_odd_dims_rejected():
     with pytest.raises(ShapeError):
         ops.maxpool2(np.zeros((1, 1, 5, 6)))
+
+
+def _post_relu(shape, seed):
+    """Rounded ReLU outputs: many exact zeros and many exact ties."""
+    r = np.random.default_rng(seed)
+    x = np.maximum(r.standard_normal(shape).round(1), 0.0)
+    x[..., 0] = 0.0
+    x.reshape(-1)[::7] *= -0.0  # signed zeros tie with +0.0
+    return x
+
+
+def _upstream(shape, seed):
+    """Mostly negative values, with -0.0 in a fifth of the places."""
+    g = -np.abs(np.random.default_rng(seed).standard_normal(shape))
+    g[g > -0.25] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8, 8), (3, 16, 12, 16), (3, 4, 6, 1)])
+def test_maxpool_kernels_match_reference_bytes(shape):
+    x = _post_relu(shape, 11)
+    out = ops.maxpool2_nhwc(x)
+    assert out.tobytes() == kernels_ref.maxpool2_nhwc(x).tobytes()
+    assert out.flags.c_contiguous
+    g = _upstream(out.shape, 12)
+    gx = ops.maxpool2_backward_nhwc(x, g, out=out)
+    assert gx.tobytes() == kernels_ref.maxpool2_backward_nhwc(x, g).tobytes()
+    assert ops.maxpool2_backward_nhwc(x, g).tobytes() == gx.tobytes()
+    # one position per window gets the upstream value, the others +0.0
+    routed = ops.maxpool2_backward_nhwc(x, np.ones_like(g), out=out)
+    assert np.array_equal(ops.maxpool2_nhwc(routed), np.ones_like(g))
+    assert routed.sum() == g.size
+    assert not np.signbit(gx[routed == 0.0]).any()
+
+
+def test_maxpool_backward_rejects_mismatched_grad():
+    with pytest.raises(ShapeError):
+        ops.maxpool2_backward_nhwc(np.zeros((1, 4, 4, 2)), np.zeros((1, 2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +218,17 @@ def test_relu_values():
 def test_relu_backward_zero_at_kink():
     g = ops.relu_backward(np.array([-1.0, 0.0, 2.0]), np.ones(3))
     assert np.array_equal(g, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8, 8), (3, 16, 16, 16), (3, 128)])
+def test_relu_backward_matches_reference_bytes(shape):
+    x = np.random.default_rng(13).standard_normal(shape).round(1)  # exact zeros
+    g = _upstream(shape, 14)
+    gx = ops.relu_backward(x, g)
+    assert gx.tobytes() == kernels_ref.relu_backward(x, g).tobytes()
+    assert not np.signbit(gx[x <= 0.0]).any()
+    assert np.signbit(gx[(x > 0.0) & (g == 0.0)]).all()  # -0.0 passes through
+    assert gx is not g and np.array_equal(g, _upstream(shape, 14))
 
 
 def test_softmax_uniform():
