@@ -1,6 +1,13 @@
 """Declarative model graph: layer specs, shape validation, forward with
 activation capture, backward, presets, and the CAMF0001 weight format.
 
+Each layer kind is one class that holds everything about it: its spec
+token (canonical text and parsing follow from the dataclass fields), its
+output-shape rule, which also checks the layer's own parameters, its
+weight shape and fan-in, and its forward and backward.  Parsing,
+validation, building, forward, forward_from and backward are each one
+loop over the layers that calls these methods.
+
 The last layer is always SoftmaxOutput.  `forward` returns class
 probabilities; `backward` takes the upstream gradient w.r.t. the
 PRE-softmax logits (softmax is fused with the loss, see optim.sparse_ce)
@@ -9,10 +16,11 @@ output.  The saliency code runs it stopped above its target layer and
 without parameter gradients, and reads the activation gradients only.
 """
 
+import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,61 +39,205 @@ WEIGHT_MAGIC = b"CAMF0001"
 
 
 # ---------------------------------------------------------------------------
-# layer and model specs
+# layer kinds
+#
+# Kernels are looked up as `ops.<name>` each time a layer runs, never
+# stored, so a replaced `ops` attribute (a tracer, a test's monkeypatch) is
+# the one that runs.
+
+class _Layer:
+    """Shared rules of the layer kinds; the defaults fit a parameterless,
+    shape-preserving layer.
+
+    forward(x, p, i, cache, drop_rng) returns the output of layer i for a
+    channels-last x, with p its parameter dict.  A capture pass hands its
+    ForwardCache, a train-mode pass its dropout stream; each is None
+    otherwise.  backward(g, p, i, cache, need_input_grad, need_param_grads)
+    takes the gradient w.r.t. the layer output and returns the gradient
+    w.r.t. its input, cache.activations[i], and a dict of parameter
+    gradients ({} when none are computed).
+    """
+
+    token = ""
+
+    def canonical(self) -> str:
+        args = [_format_arg(getattr(self, f.name)) for f in fields(self)]
+        return f"{self.token}({','.join(args)})" if args else self.token
+
+    def out_shape(self, shape: tuple) -> tuple:
+        """Output shape for an input of `shape` (no batch axis); a ShapeError
+        when the layer or its parameters cannot take it."""
+        return shape
+
+    def weight_shape(self, in_shape: tuple):
+        """(weights shape, fan-in), or None for a layer without parameters."""
+        return None
+
+
+def _format_arg(v) -> str:
+    # floats print as %g, as in Dropout(0.5), unless %g would round them
+    if isinstance(v, float) and float(f"{v:g}") == v:
+        return f"{v:g}"
+    return str(v)
+
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Layer):
     out_channels: int
     kernel: int
     stride: int = 1
     pad: int = 0
+    token = "Conv"
 
-    def canonical(self):
-        return f"Conv({self.out_channels},{self.kernel},{self.stride},{self.pad})"
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise ShapeError(f"Conv needs a (C,H,W) input, got {shape}")
+        if min(self.out_channels, self.kernel, self.stride) < 1 or self.pad < 0:
+            raise ShapeError("Conv needs channels, kernel and stride >= 1 and pad >= 0")
+        oh, ow = ops.conv_output_hw(shape[1], shape[2], self.kernel, self.kernel,
+                                    self.stride, self.pad)
+        return self.out_channels, oh, ow
+
+    def weight_shape(self, in_shape):
+        wshape = (self.out_channels, in_shape[0], self.kernel, self.kernel)
+        return wshape, math.prod(wshape[1:])
+
+    def forward(self, x, p, i, cache, drop_rng):
+        if cache is None:
+            return ops.conv2d_nhwc(x, p["weights"], p["bias"], self.stride, self.pad)
+        x, cache.conv_cols[i] = ops.conv2d_nhwc(
+            x, p["weights"], p["bias"], self.stride, self.pad, return_cols=True)
+        return x
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        g, gw, gb = ops.conv2d_backward_nhwc(
+            cache.activations[i], p["weights"], self.stride, self.pad, g,
+            need_input_grad=need_input_grad, cols=cache.conv_cols.get(i),
+            need_param_grads=need_param_grads)
+        return g, ({"weights": gw, "bias": gb} if need_param_grads else {})
 
 
 @dataclass(frozen=True)
-class MaxPool2:
-    def canonical(self):
-        return "MaxPool2"
+class MaxPool2(_Layer):
+    token = "MaxPool2"
+
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise ShapeError(f"MaxPool2 needs a (C,H,W) input, got {shape}")
+        c, h, w = shape
+        if h % 2 or w % 2:
+            raise ShapeError(f"MaxPool2 needs even dims, got {h}x{w}")
+        return c, h // 2, w // 2
+
+    def forward(self, x, p, i, cache, drop_rng):
+        return ops.maxpool2_nhwc(x)
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        return ops.maxpool2_backward_nhwc(cache.activations[i], g,
+                                          out=cache.activations[i + 1]), {}
 
 
 @dataclass(frozen=True)
-class ReLU:
-    def canonical(self):
-        return "ReLU"
+class ReLU(_Layer):
+    token = "ReLU"
+
+    def forward(self, x, p, i, cache, drop_rng):
+        return ops.relu(x)
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        return ops.relu_backward(cache.activations[i], g), {}
 
 
 @dataclass(frozen=True)
-class Flatten:
-    def canonical(self):
-        return "Flatten"
+class Flatten(_Layer):
+    token = "Flatten"
+
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise ShapeError(f"Flatten needs a (C,H,W) input, got {shape}")
+        return (math.prod(shape),)
+
+    def forward(self, x, p, i, cache, drop_rng):
+        # flatten in the public channel-major (C,H,W) order
+        return ops._to_nchw(x).reshape(x.shape[0], -1)
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        n, h, w, c = cache.activations[i].shape
+        return ops._to_nhwc(g.reshape(n, c, h, w)), {}
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     units: int
+    token = "Dense"
 
-    def canonical(self):
-        return f"Dense({self.units})"
+    def out_shape(self, shape):
+        if len(shape) != 1:
+            raise ShapeError(f"Dense needs a flat input, got {shape}")
+        if self.units < 1:
+            raise ShapeError("Dense needs units >= 1")
+        return (self.units,)
+
+    def weight_shape(self, in_shape):
+        return (in_shape[0], self.units), in_shape[0]
+
+    def forward(self, x, p, i, cache, drop_rng):
+        return ops.dense(x, p["weights"], p["bias"])
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        g, gw, gb = ops.dense_backward(cache.activations[i], p["weights"], g,
+                                       need_param_grads=need_param_grads)
+        return g, ({"weights": gw, "bias": gb} if need_param_grads else {})
 
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(_Layer):
+    """Inverted dropout in a train-mode pass; the identity otherwise."""
+
     rate: float
+    token = "Dropout"
 
-    def canonical(self):
-        return f"Dropout({self.rate:g})"
+    def out_shape(self, shape):
+        if not 0.0 <= self.rate < 1.0:
+            raise ShapeError(f"Dropout rate {self.rate} outside [0,1)")
+        return shape
+
+    def forward(self, x, p, i, cache, drop_rng):
+        if drop_rng is None or self.rate == 0.0:
+            return x
+        keep = drop_rng.uniform_block(x.size).reshape(x.shape) >= self.rate
+        mask = keep / (1.0 - self.rate)
+        if cache is not None:
+            cache.dropout_masks[i] = mask
+        return x * mask
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        mask = cache.dropout_masks.get(i)
+        return (g if mask is None else g * mask), {}
 
 
 @dataclass(frozen=True)
-class SoftmaxOutput:
-    def canonical(self):
-        return "Softmax"
+class SoftmaxOutput(_Layer):
+    token = "Softmax"
+
+    def out_shape(self, shape):
+        if len(shape) != 1:
+            raise ShapeError(f"SoftmaxOutput needs a flat input, got {shape}")
+        return shape
+
+    def forward(self, x, p, i, cache, drop_rng):
+        return ops.softmax(x)
+
+    def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
+        return g, {}  # fused with the loss: the upstream is the logit gradient
 
 
 LayerSpec = Conv | MaxPool2 | ReLU | Flatten | Dense | Dropout | SoftmaxOutput
+_KINDS = {kind.token: kind for kind in LayerSpec.__args__}
 
+
+# ---------------------------------------------------------------------------
+# model specs
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -102,31 +254,23 @@ class ModelSpec:
 def parse_spec_text(text: str) -> ModelSpec:
     """Inverse of ModelSpec.canonical()."""
     try:
-        fields = dict(part.split("=", 1) for part in text.strip().split(";"))
-        c, h, w = (int(v) for v in fields["input"].split("x"))
-        classes = tuple(fields["classes"].split(","))
-        layers = []
-        for tok in fields["layers"].split("|"):
-            if tok == "MaxPool2":
-                layers.append(MaxPool2())
-            elif tok == "ReLU":
-                layers.append(ReLU())
-            elif tok == "Flatten":
-                layers.append(Flatten())
-            elif tok == "Softmax":
-                layers.append(SoftmaxOutput())
-            elif tok.startswith("Conv(") and tok.endswith(")"):
-                o, k, s, p = (int(v) for v in tok[5:-1].split(","))
-                layers.append(Conv(o, k, s, p))
-            elif tok.startswith("Dense(") and tok.endswith(")"):
-                layers.append(Dense(int(tok[6:-1])))
-            elif tok.startswith("Dropout(") and tok.endswith(")"):
-                layers.append(Dropout(float(tok[8:-1])))
-            else:
-                raise ValueError(f"unknown layer token {tok!r}")
+        parts = dict(part.split("=", 1) for part in text.strip().split(";"))
+        c, h, w = (int(v) for v in parts["input"].split("x"))
+        classes = tuple(parts["classes"].split(","))
+        layers = tuple(_parse_layer(tok) for tok in parts["layers"].split("|"))
     except (KeyError, ValueError) as e:
         raise BuildError(f"cannot parse model spec text: {e}") from e
-    return ModelSpec((c, h, w), tuple(layers), classes)
+    return ModelSpec((c, h, w), layers, classes)
+
+
+def _parse_layer(tok: str):
+    """`Name` for a kind without fields, else `Name(arg,...)`, one arg per field."""
+    name, paren, rest = tok.partition("(")
+    kind = _KINDS.get(name)
+    args = rest[:-1].split(",") if paren else []
+    if kind is None or (paren and not rest.endswith(")")) or len(args) != len(fields(kind)):
+        raise ValueError(f"unknown or malformed layer token {tok!r}")
+    return kind(*(f.type(a) for f, a in zip(fields(kind), args)))
 
 
 def validate_spec(spec: ModelSpec) -> list:
@@ -139,40 +283,17 @@ def validate_spec(spec: ModelSpec) -> list:
         raise BuildError("last layer must be SoftmaxOutput")
     if sum(isinstance(l, SoftmaxOutput) for l in layers) != 1:
         raise BuildError("exactly one SoftmaxOutput is allowed")
+    if min(spec.input_shape) < 1:
+        raise BuildError(f"input dims must be >= 1, got {spec.input_shape}")
 
     shape = tuple(spec.input_shape)
     shapes = []
-    saw_conv = False
     for idx, layer in enumerate(layers):
         try:
-            if isinstance(layer, Conv):
-                if len(shape) != 3:
-                    raise ShapeError(f"Conv needs a (C,H,W) input, got {shape}")
-                c, h, w = shape
-                oh, ow = ops.conv_output_hw(h, w, layer.kernel, layer.kernel,
-                                            layer.stride, layer.pad)
-                shape = (layer.out_channels, oh, ow)
-                saw_conv = True
-            elif isinstance(layer, MaxPool2):
-                c, h, w = shape
-                if h % 2 or w % 2:
-                    raise ShapeError(f"MaxPool2 needs even dims, got {h}x{w}")
-                shape = (c, h // 2, w // 2)
-            elif isinstance(layer, Flatten):
-                if not saw_conv:
-                    raise ShapeError("Flatten must be preceded by at least one Conv")
-                shape = (int(np.prod(shape)),)
-            elif isinstance(layer, Dense):
-                if len(shape) != 1:
-                    raise ShapeError(f"Dense needs a flat input, got {shape}")
-                shape = (layer.units,)
-            elif isinstance(layer, Dropout):
-                if not 0.0 <= layer.rate < 1.0:
-                    raise ShapeError(f"Dropout rate {layer.rate} outside [0,1)")
-            elif isinstance(layer, SoftmaxOutput):
-                if len(shape) != 1:
-                    raise ShapeError(f"SoftmaxOutput needs a flat input, got {shape}")
-            # ReLU: shape-preserving
+            if isinstance(layer, Flatten) and not any(isinstance(l, Conv)
+                                                      for l in layers[:idx]):
+                raise ShapeError("Flatten must be preceded by at least one Conv")
+            shape = layer.out_shape(shape)
         except ShapeError as e:
             raise BuildError(f"layer {idx} ({layer.canonical()}): {e}") from e
         shapes.append(shape)
@@ -248,26 +369,20 @@ def _make_model(spec: ModelSpec, rng: Rng | None) -> Model:
     with uninitialised weights when rng is None."""
     shapes = validate_spec(spec)
     params = []
-    in_shape = tuple(spec.input_shape)
-    for layer, out_shape in zip(spec.layers, shapes):
-        if isinstance(layer, Conv):
-            fan_in = in_shape[0] * layer.kernel * layer.kernel
-            wshape = (layer.out_channels, in_shape[0], layer.kernel, layer.kernel)
-        elif isinstance(layer, Dense):
-            fan_in = in_shape[0]
-            wshape = (fan_in, layer.units)
-        else:
+    in_shapes = [tuple(spec.input_shape)] + shapes
+    for layer, in_shape, out_shape in zip(spec.layers, in_shapes, shapes):
+        weight_shape = layer.weight_shape(in_shape)
+        if weight_shape is None:
             params.append({})
-            in_shape = out_shape
             continue
+        wshape, fan_in = weight_shape
         if rng is None:
             w = np.empty(wshape)
         else:
             bound = np.sqrt(6.0 / fan_in)
-            w = ((2.0 * rng.uniform_block(int(np.prod(wshape))) - 1.0) * bound
+            w = ((2.0 * rng.uniform_block(math.prod(wshape)) - 1.0) * bound
                  ).reshape(wshape)
         params.append({"weights": w, "bias": np.zeros(out_shape[0])})
-        in_shape = out_shape
     return Model(spec=spec, params=params, layer_shapes=shapes)
 
 
@@ -290,42 +405,23 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ShapeError(f"batch shape {x.shape} does not match (N,)+{expect}")
     x = ops._to_nhwc(x)
-
+    cache = ForwardCache([x], {}, {}) if capture else None
     drop_rng = Rng(dropout_seed) if train_mode else None
-    activations = [x]
-    masks = {}
-    conv_cols = {}
-    for i, layer in enumerate(model.spec.layers):
-        p = model.params[i]
-        if isinstance(layer, Conv):
-            if capture:
-                x, conv_cols[i] = ops.conv2d_nhwc(
-                    x, p["weights"], p["bias"], layer.stride, layer.pad,
-                    return_cols=True)
-            else:
-                x = ops.conv2d_nhwc(x, p["weights"], p["bias"], layer.stride,
-                                    layer.pad)
-        elif isinstance(layer, MaxPool2):
-            x = ops.maxpool2_nhwc(x)
-        elif isinstance(layer, ReLU):
-            x = ops.relu(x)
-        elif isinstance(layer, Flatten):
-            # flatten in the public channel-major (C,H,W) order
-            x = ops._to_nchw(x).reshape(x.shape[0], -1)
-        elif isinstance(layer, Dense):
-            x = ops.dense(x, p["weights"], p["bias"])
-        elif isinstance(layer, Dropout):
-            if train_mode and layer.rate > 0.0:
-                keep = drop_rng.uniform_block(x.size).reshape(x.shape) >= layer.rate
-                mask = keep / (1.0 - layer.rate)
-                masks[i] = mask
-                x = x * mask
-        elif isinstance(layer, SoftmaxOutput):
-            x = ops.softmax(x)
-        activations.append(x)
+    x = _run(model, x, 0, len(model.spec.layers), cache, drop_rng)
+    model.cache = cache
+    return x
 
-    model.cache = ForwardCache(activations, masks, conv_cols) if capture else None
-    return activations[-1]
+
+def _run(model: Model, x: np.ndarray, start: int, stop: int,
+         cache: ForwardCache | None, drop_rng: Rng | None) -> np.ndarray:
+    """Layers start..stop-1 on a channels-last x, appending each output to
+    cache.activations when capturing."""
+    layers, params = model.spec.layers, model.params
+    for i in range(start, stop):
+        x = layers[i].forward(x, params[i], i, cache, drop_rng)
+        if cache is not None:
+            cache.activations.append(x)
+    return x
 
 
 @dataclass
@@ -374,34 +470,8 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
     act_grads[n_layers] = g  # by the fused convention, also the logit gradient
 
     for i in range(n_layers - 1, stop - 1, -1):
-        layer = model.spec.layers[i]
-        x_in = acts[i]
-        p = model.params[i]
-        if isinstance(layer, SoftmaxOutput):
-            pass  # fused with the loss; gradient passes through unchanged
-        elif isinstance(layer, Conv):
-            g, gw, gb = ops.conv2d_backward_nhwc(
-                x_in, p["weights"], layer.stride, layer.pad, g,
-                need_input_grad=need_input_grad or i > 0,
-                cols=cache.conv_cols.get(i), need_param_grads=need_param_grads)
-            if need_param_grads:
-                param_grads[i] = {"weights": gw, "bias": gb}
-        elif isinstance(layer, MaxPool2):
-            g = ops.maxpool2_backward_nhwc(x_in, g, out=acts[i + 1])
-        elif isinstance(layer, ReLU):
-            g = ops.relu_backward(x_in, g)
-        elif isinstance(layer, Flatten):
-            n = x_in.shape[0]
-            c, h, w = x_in.shape[3], x_in.shape[1], x_in.shape[2]
-            g = ops._to_nhwc(g.reshape(n, c, h, w))
-        elif isinstance(layer, Dense):
-            g, gw, gb = ops.dense_backward(x_in, p["weights"], g,
-                                           need_param_grads=need_param_grads)
-            if need_param_grads:
-                param_grads[i] = {"weights": gw, "bias": gb}
-        elif isinstance(layer, Dropout):
-            if i in cache.dropout_masks:
-                g = g * cache.dropout_masks[i]
+        g, param_grads[i] = model.spec.layers[i].backward(
+            g, model.params[i], i, cache, need_input_grad or i > 0, need_param_grads)
         act_grads[i] = g
     return Gradients(param_grads, act_grads)
 
@@ -416,22 +486,7 @@ def forward_from(model: Model, layer_index: int, activation: np.ndarray) -> np.n
     x = np.asarray(activation, dtype=np.float64)
     if x.ndim == 4:
         x = ops._to_nhwc(x)
-    for i in range(layer_index + 1, len(model.spec.layers)):
-        layer = model.spec.layers[i]
-        if isinstance(layer, SoftmaxOutput):
-            break
-        p = model.params[i]
-        if isinstance(layer, Conv):
-            x = ops.conv2d_nhwc(x, p["weights"], p["bias"], layer.stride, layer.pad)
-        elif isinstance(layer, MaxPool2):
-            x = ops.maxpool2_nhwc(x)
-        elif isinstance(layer, ReLU):
-            x = ops.relu(x)
-        elif isinstance(layer, Flatten):
-            x = ops._to_nchw(x).reshape(x.shape[0], -1)
-        elif isinstance(layer, Dense):
-            x = ops.dense(x, p["weights"], p["bias"])
-    return x
+    return _run(model, x, layer_index + 1, len(model.spec.layers) - 1, None, None)
 
 
 # ---------------------------------------------------------------------------

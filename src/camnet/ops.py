@@ -7,18 +7,18 @@ makes a pure-numpy training loop fast enough.  The `*_nhwc` variants are
 the core implementations; the public NCHW functions are thin layout
 adapters around them.
 
-`conv2d` is im2col + matmul.  `conv2d_reference` is the naive-loop
-definition; the two agree to BLAS rounding (checked in the test suite)
-and the fast path is bit-deterministic run to run.  A stride-1 conv's
+`conv2d` is im2col + matmul, bit-deterministic run to run.  A conv's
 input gradient is computed one image at a time, from an im2col of that
-image's grad_out over exactly the input positions.  The max-pool
-backward routes each window's gradient to the first position equal to
-the pooled output, which the model passes from its forward cache, so it
-recomputes no argmax.  Both it and the ReLU backward multiply grad_out's
-bit pattern by a 0/1 mask, which keeps every value exactly and writes
-+0.0 elsewhere.
+image's grad_out over exactly the input positions; a strided conv's
+grad_out is first zero-inserted onto the stride-1 output grid.  The
+max-pool backward routes each window's gradient to the first position
+equal to the pooled output, which the model passes from its forward
+cache, so it recomputes no argmax.  Both it and the ReLU backward multiply
+grad_out's bit pattern by a 0/1 mask, which keeps every value exactly and
+writes +0.0 elsewhere.
 `finite_diff_grad` is the independent oracle every backward rule is
-verified against; `tests/kernels_ref.py` holds plainer versions of the
+verified against; `tests/kernels_ref.py` holds a naive-loop conv, which
+the fast conv must match to BLAS rounding, and plainer versions of the
 fast kernels, which must give the same bytes.
 """
 
@@ -132,23 +132,19 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
 
     grad_x = None
     if need_input_grad:
-        if stride == 1:
-            grad_x = _conv_input_grad_stride1(weights, pad, grad_out, (n, h, w, c))
-        else:
-            # scatter columns back onto the padded input (col2im)
-            grad_cols = (g @ _weights_cols(weights).T).reshape(n, oh, ow, kh, kw, c)
-            grad_xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-            for i in range(kh):
-                for j in range(kw):
-                    grad_xp[:, i : i + stride * oh : stride,
-                            j : j + stride * ow : stride, :] += grad_cols[:, :, :, i, j, :]
-            grad_x = grad_xp if pad == 0 else np.ascontiguousarray(
-                grad_xp[:, pad:-pad, pad:-pad, :])
+        if stride > 1:
+            # zero-insert onto the stride-1 output grid; its rows and columns
+            # past the forward's last window stay zero
+            gd = np.zeros((n, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1, o))
+            gd[:, ::stride, ::stride] = grad_out
+            grad_out = gd
+        grad_x = _conv_input_grad_stride1(weights, pad, grad_out, (n, h, w, c))
     return grad_x, grad_w, grad_b
 
 
 def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
-    """Input gradient of a stride-1 conv, one image at a time.
+    """Input gradient of a stride-1 conv, one image at a time; a strided
+    conv's, given its grad_out zero-inserted onto the stride-1 grid.
 
     It is the full correlation of grad_out with the channel-swapped,
     180-degree flipped weights.  grad_out is padded by k-1-pad per side
@@ -192,30 +188,6 @@ def conv2d_backward(x, weights, stride, pad, grad_out):
         _to_nhwc(x), weights, stride, pad, _to_nhwc(grad_out)
     )
     return _to_nchw(gx), gw, gb
-
-
-def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Naive-loop cross-correlation, the reference the fast path is checked against."""
-    x, weights, bias = _as_f64(x), _as_f64(weights), _as_f64(bias)
-    n, c, h, w = x.shape
-    o, _, kh, kw = weights.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.empty((n, o, oh, ow))
-    for b in range(n):
-        for f in range(o):
-            for i in range(oh):
-                for j in range(ow):
-                    acc = 0.0
-                    for ch in range(c):
-                        for di in range(kh):
-                            for dj in range(kw):
-                                acc += (
-                                    weights[f, ch, di, dj]
-                                    * xp[b, ch, i * stride + di, j * stride + dj]
-                                )
-                    out[b, f, i, j] = acc + bias[f]
-    return out
 
 
 def _windows(x):

@@ -1,8 +1,11 @@
 """Reference kernels for the fast ops, shared by the test modules.
 
-These are earlier, plainer formulations of four `camnet.ops` kernels. The
-library's versions do less work but must give the same bytes, so the
-tests compare them with `tobytes()`, not with a tolerance:
+`conv2d_reference` is the naive-loop definition of `ops.conv2d`; the
+fast path must agree with it to BLAS rounding.
+
+The others are earlier, plainer formulations of four `camnet.ops`
+kernels. The library's versions do less work but must give the same
+bytes, so the tests compare them with `tobytes()`, not with a tolerance:
 
 - `maxpool2_nhwc`: a multi-axis `max` over each 2x2 window;
 - `maxpool2_backward_nhwc`: `argmax` over a transposed copy of the
@@ -20,6 +23,30 @@ every shape: 2-4 columns, or a single row, take other code paths.
 import numpy as np
 
 from camnet import ops
+
+
+def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Naive-loop cross-correlation, the reference the fast path is checked against."""
+    x, weights, bias = ops._as_f64(x), ops._as_f64(weights), ops._as_f64(bias)
+    n, c, h, w = x.shape
+    o, _, kh, kw = weights.shape
+    oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
+    xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty((n, o, oh, ow))
+    for b in range(n):
+        for f in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    acc = 0.0
+                    for ch in range(c):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                acc += (
+                                    weights[f, ch, di, dj]
+                                    * xp[b, ch, i * stride + di, j * stride + dj]
+                                )
+                    out[b, f, i, j] = acc + bias[f]
+    return out
 
 
 def maxpool2_nhwc(x):

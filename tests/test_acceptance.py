@@ -9,10 +9,11 @@ import subprocess
 import sys
 import time
 
+import kernels_ref
 import numpy as np
 import pytest
 
-from camnet import cam, data, gradcheck, metrics, model as nn, ops, optim
+from camnet import cam, data, gradcheck, metrics, model as nn, optim
 from hessian_fd import fd_hessian_diag
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -74,8 +75,8 @@ def _scripted_gradcam(m, x, class_index):
     naive-loop conv for A, analytic head gradient, explicit loops for the
     spatial average and the rectified weighted sum."""
     conv = m.spec.layers[0]
-    a = ops.conv2d_reference(x[None], m.params[0]["weights"],
-                             m.params[0]["bias"], conv.stride, conv.pad)[0]
+    a = kernels_ref.conv2d_reference(x[None], m.params[0]["weights"],
+                                     m.params[0]["bias"], conv.stride, conv.pad)[0]
     k, u, v = a.shape
     head = m.params[2]["weights"]
     z = u * v

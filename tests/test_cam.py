@@ -1,9 +1,10 @@
 """Saliency maps against hand arithmetic and scripted brute-force oracles."""
 
+import kernels_ref
 import numpy as np
 import pytest
 
-from camnet import cam, model as nn, ops
+from camnet import cam, model as nn
 from camnet.errors import BuildError
 from hessian_fd import fd_hessian_diag, kink_free, score_from_logits
 
@@ -74,8 +75,8 @@ def _brute_force_maps(model, x, class_index):
     shares code with the backward pass.
     """
     conv = model.spec.layers[0]
-    a = ops.conv2d_reference(x[None], model.params[0]["weights"],
-                             model.params[0]["bias"], conv.stride, conv.pad)[0]
+    a = kernels_ref.conv2d_reference(x[None], model.params[0]["weights"],
+                                     model.params[0]["bias"], conv.stride, conv.pad)[0]
     k, u, v = a.shape
     head = model.params[2]["weights"]
     z = u * v

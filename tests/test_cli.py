@@ -103,8 +103,10 @@ def test_data_error_exit_code(tmp_path):
 @pytest.fixture(scope="module")
 def explain_inputs(tmp_path_factory):
     """Untrained 16x16 vgg-nano weights, one image, two CAMF files whose
-    header line never ends or is not text, two PGMs with a negative or zero
-    size, a corpus whose split.csv went stale when an image was deleted,
+    header line never ends or is not text, two whose header spec has a
+    negative Conv width or a MaxPool2 after Flatten, a spec file with a
+    stride-0 Conv, two PGMs with a negative or zero size, a corpus whose
+    split.csv went stale when an image was deleted, a good 16x16 corpus,
     and a 16x16 corpus with one 20x20 image."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
@@ -116,12 +118,21 @@ def explain_inputs(tmp_path_factory):
     headerless.write_bytes(nn.WEIGHT_MAGIC + b"input=1x16x16;layers=Conv(8,3,1,1)")
     binary = root / "binary.camf"
     binary.write_bytes(nn.WEIGHT_MAGIC + b"\xff\xfe\n")
+    for name, layers in (("negconv", "Conv(-2,3,1,1)|ReLU|Flatten|Dense(3)"),
+                         ("poolflat", "Conv(8,3,1,1)|Flatten|MaxPool2|Dense(3)")):
+        (root / f"{name}.camf").write_bytes(
+            nn.WEIGHT_MAGIC + f"input=1x16x16;layers={layers}|Softmax;classes=a,b,c\n".encode())
+    (root / "stride0.spec").write_text(
+        "input=1x16x16;layers=Conv(8,3,0,1)|ReLU|Flatten|Dense(3)|Softmax;classes=a,b,c\n")
     (root / "negative.pgm").write_bytes(b"P5 -4 -2 255\n")
     (root / "zero.pgm").write_bytes(b"P5 0 5 255\n")
     stale = str(root / "stale")
     assert run_cli(["synth", "--out", stale, "--n", "4", "--size", "16"]) == 0
     assert run_cli(["split", "--data", stale]) == 0
     os.remove(os.path.join(stale, "0_disk", "00001.pgm"))
+    good = str(root / "good")
+    assert run_cli(["synth", "--out", good, "--n", "4", "--size", "16"]) == 0
+    assert run_cli(["split", "--data", good]) == 0
     mixed = str(root / "mixed")
     assert run_cli(["synth", "--out", mixed, "--n", "4", "--size", "16"]) == 0
     data.write_image(os.path.join(mixed, "1_rect", "00002.pgm"),
@@ -129,7 +140,7 @@ def explain_inputs(tmp_path_factory):
     assert run_cli(["split", "--data", mixed]) == 0
     return {"root": str(root), "weights": weights, "image": image,
             "headerless": str(headerless), "binary": str(binary), "stale": stale,
-            "mixed": mixed}
+            "good": good, "mixed": mixed}
 
 
 EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
@@ -159,6 +170,13 @@ BAD_INPUTS = [
      "missing header line"),
     (["eval", "--data", "{root}", "--weights", "{binary}"], 2,
      "header line is not UTF-8"),
+    (["explain", "--image", "{image}", "--weights", "{root}/negconv.camf"], 2,
+     "layer 0 (Conv(-2,3,1,1)): Conv needs channels, kernel and stride >= 1 and pad >= 0"),
+    (["explain", "--image", "{image}", "--weights", "{root}/poolflat.camf"], 2,
+     "layer 2 (MaxPool2): MaxPool2 needs a (C,H,W) input, got (2048,)"),
+    (["train", "--data", "{good}", "--out", "{root}/spec_run", "--spec",
+      "{root}/stride0.spec"], 2,
+     "layer 0 (Conv(8,3,0,1)): Conv needs channels, kernel and stride >= 1 and pad >= 0"),
     (["explain", "--weights", "{weights}", "--image", "{root}/negative.pgm"], 2,
      "width and height must be positive, got -4x-2"),
     (["explain", "--weights", "{weights}", "--image", "{root}/zero.pgm"], 2,

@@ -59,6 +59,23 @@ def test_validation_rejects_class_count_mismatch():
         nn.validate_spec(spec)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("input=1x8x8;layers=Conv(8,3,0,1)|Flatten|Dense(3)|Softmax", "layer 0 .*stride >= 1"),
+    ("input=1x8x8;layers=Conv(-2,3,1,1)|Flatten|Dense(3)|Softmax", "layer 0 .*channels"),
+    ("input=1x8x8;layers=Conv(2,3,1,-1)|Flatten|Dense(3)|Softmax", "layer 0 .*pad >= 0"),
+    ("input=1x8x8;layers=Conv(2,0,1,1)|Flatten|Dense(3)|Softmax", "layer 0 .*kernel"),
+    ("input=1x8x8;layers=Conv(2,3,1,1)|Flatten|Dense(0)|Dense(3)|Softmax", "layer 2 .*units >= 1"),
+    ("input=0x8x8;layers=Conv(2,3,1,1)|Flatten|Dense(3)|Softmax", "input dims must be >= 1"),
+    ("input=1x8x8;layers=Conv(2,3,1,1)|Flatten|MaxPool2|Dense(3)|Softmax",
+     r"layer 2 \(MaxPool2\): MaxPool2 needs a \(C,H,W\) input"),
+    ("input=1x8x8;layers=Conv(2,3,1,1)|Flatten|Flatten|Dense(3)|Softmax",
+     r"layer 2 \(Flatten\): Flatten needs a \(C,H,W\) input"),
+])
+def test_validation_rejects_bad_layer_parameters(text, message):
+    with pytest.raises(BuildError, match=message):
+        nn.validate_spec(nn.parse_spec_text(text + ";classes=a,b,c"))
+
+
 def test_spec_text_round_trip():
     text = TOY.canonical()
     assert nn.parse_spec_text(text) == TOY

@@ -42,7 +42,7 @@ def test_conv_matches_naive_reference(shape, wshape, stride, pad):
     w = rng.standard_normal(wshape)
     b = rng.standard_normal(wshape[0])
     fast = ops.conv2d(x, w, b, stride, pad)
-    ref = ops.conv2d_reference(x, w, b, stride, pad)
+    ref = kernels_ref.conv2d_reference(x, w, b, stride, pad)
     assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -66,6 +66,19 @@ def test_conv_backward_finite_difference():
     assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
     assert ops.max_rel_error(gw, ops.finite_diff_grad(loss_w, w)) <= 1e-6
     assert np.allclose(gb, out[0, 0].size * np.ones(3))
+
+    # odd sizes whose last window leaves input rows and columns uncovered,
+    # and pads above k-1 (the stride-1 grid is cropped, not padded)
+    for (h, wd), k, stride, pad in [((7, 5), 2, 2, 0), ((5, 7), 3, 3, 0),
+                                    ((7, 7), 3, 3, 2), ((5, 5), 1, 2, 1)]:
+        x = rng.standard_normal((2, 2, h, wd))
+        w = rng.standard_normal((3, 2, k, k))
+        g = rng.standard_normal(ops.conv2d(x, w, b, stride, pad).shape)
+        gx, gw, _ = ops.conv2d_backward(x, w, stride, pad, g)
+        loss_x = lambda v: float((ops.conv2d(v, w, b, stride, pad) * g).sum())
+        loss_w = lambda v: float((ops.conv2d(x, v, b, stride, pad) * g).sum())
+        assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
+        assert ops.max_rel_error(gw, ops.finite_diff_grad(loss_w, w)) <= 1e-6
 
 
 def test_conv_backward_stride1_finite_difference():

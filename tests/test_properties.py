@@ -1,0 +1,86 @@
+"""Property tests: the spec grammar round-trips, and malformed spec text,
+weight files and Netpbm bytes end in a CamnetError, never another
+exception.  Derandomized, so every run checks the same examples."""
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from camnet import data, model as nn
+from camnet.errors import CamnetError
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+
+_ints = st.integers(-2, 5)
+_rates = st.floats(allow_nan=False)
+# class names as directory names spell them, minus the separators of the
+# spec text (`,` between names and `;` between fields)
+_names = st.text("abcxyz_-.0123456789", min_size=1, max_size=6)
+
+
+_layers = st.one_of(
+    st.builds(nn.Conv, _ints, _ints, _ints, _ints),
+    st.builds(nn.Dense, _ints),
+    st.builds(nn.Dropout, _rates),
+    st.sampled_from([nn.MaxPool2(), nn.ReLU(), nn.Flatten(), nn.SoftmaxOutput()]),
+)
+_specs = st.builds(nn.ModelSpec, st.tuples(_ints, _ints, _ints),
+                   st.lists(_layers, min_size=1, max_size=8).map(tuple),
+                   st.lists(_names, min_size=1, max_size=4).map(tuple))
+
+# near-valid spec text: known tokens with small or bad parameters, stray
+# tokens, and a final Softmax, so that shape validation runs on most of it
+_tokens = st.one_of(
+    st.sampled_from(["MaxPool2", "ReLU", "Flatten", "Softmax", "Dense()", "Conv(1,2)"]),
+    st.builds("Conv({},{},{},{})".format, _ints, _ints, _ints, _ints),
+    st.builds("Dense({})".format, _ints),
+    st.builds("Dropout({})".format, st.floats(-1.0, 2.0)),
+    st.text(max_size=8),
+)
+_spec_texts = st.builds(
+    "input={}x{}x{};layers={}|Softmax;classes={}".format, _ints, _ints, _ints,
+    st.lists(_tokens, max_size=7).map("|".join), st.sampled_from(["a,b,c", "a", "a,b"]))
+_any_text = st.one_of(st.text(), _spec_texts)
+
+
+@SETTINGS
+@given(_specs)
+def test_canonical_text_parses_back_to_the_spec(spec):
+    assert nn.parse_spec_text(spec.canonical()) == spec
+
+
+@SETTINGS
+@given(_any_text)
+def test_spec_text_fails_only_with_camnet_errors(text):
+    try:
+        nn.validate_spec(nn.parse_spec_text(text))
+    except CamnetError:
+        pass
+
+
+@SETTINGS
+@given(st.one_of(
+    st.binary(),
+    st.builds(lambda text, tail: nn.WEIGHT_MAGIC + text.encode() + b"\n" + tail,
+              _spec_texts, st.binary(max_size=64)),
+))
+def test_weight_bytes_fail_only_with_camnet_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.camf"
+    path.write_bytes(raw)
+    try:
+        nn.load_weights(None, path)
+    except CamnetError:
+        pass
+
+
+@SETTINGS
+@given(st.one_of(
+    st.binary(),
+    st.builds(lambda head, body: head + body,
+              st.sampled_from([b"P5 ", b"P6 ", b"P5 2 2 255\n", b"P6 1 1 255 "]),
+              st.binary(max_size=32)),
+))
+def test_netpbm_bytes_fail_only_with_camnet_errors(raw):
+    try:
+        data.decode_netpbm(raw)
+    except CamnetError:
+        pass
