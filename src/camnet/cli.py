@@ -197,7 +197,7 @@ def cmd_train(args):
     write_run_manifest(args.out, configs, {
         "command": "train", "data": args.data, "manifest": manifest_path,
         "model_spec": spec.canonical(), "weights": weight_path,
-        "train_report": report_path,
+        "train_report": report_path, "compute_dtype": optim.COMPUTE_DTYPE.name,
     })
     last = report.rows[-1]
     print(f"trained {tc.epochs} epochs: train_acc={last.train_acc:.4f} "

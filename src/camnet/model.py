@@ -206,7 +206,8 @@ class Dropout(_Layer):
         if drop_rng is None or self.rate == 0.0:
             return x
         keep = drop_rng.uniform_block(x.size).reshape(x.shape) >= self.rate
-        mask = keep / (1.0 - self.rate)
+        mask = keep.astype(x.dtype)  # in x's dtype, or x * mask upcasts
+        mask /= 1.0 - self.rate
         if cache is not None:
             cache.dropout_masks[i] = mask
         return x * mask
@@ -276,8 +277,14 @@ def _parse_layer(tok: str):
 def validate_spec(spec: ModelSpec) -> list:
     """Propagate shapes through all layers; returns per-layer output shapes.
 
-    Raises BuildError naming the first offending layer index.
+    Raises BuildError naming the first offending layer index, or a class
+    name that holds a separator of the canonical text, which could not be
+    read back from a weight file header.
     """
+    for name in spec.class_names:
+        if any(sep in name for sep in ",;\n"):
+            raise BuildError(f"class name {name!r} holds ',', ';' or a line break, "
+                             "which the weight file header uses as separators")
     layers = spec.layers
     if not layers or not isinstance(layers[-1], SoftmaxOutput):
         raise BuildError("last layer must be SoftmaxOutput")
@@ -357,6 +364,11 @@ class Model:
     def num_params(self) -> int:
         return sum(a.size for _, _, a in self.param_items())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which forward and backward compute."""
+        return next((a.dtype for _, _, a in self.param_items()), np.dtype(np.float64))
+
     def activation_nchw(self, i: int) -> np.ndarray:
         """Cached output of layer i-1 (i=0 is the input), (N,C,H,W) layout."""
         if self.cache is None:
@@ -364,14 +376,25 @@ class Model:
         return self.cache.activation_nchw(i)
 
 
-def _make_model(spec: ModelSpec, rng: Rng | None) -> Model:
+def _make_model(spec: ModelSpec, rng: Rng | None, file_bytes: int | None = None
+                ) -> Model:
     """Model with He-uniform weights drawn from rng and zero biases, or
-    with uninitialised weights when rng is None."""
+    with uninitialised weights when rng is None.  With file_bytes, a spec
+    whose CAMF tensors take more bytes than that is a TruncatedWeightsError,
+    raised before anything is allocated."""
     shapes = validate_spec(spec)
-    params = []
     in_shapes = [tuple(spec.input_shape)] + shapes
-    for layer, in_shape, out_shape in zip(spec.layers, in_shapes, shapes):
-        weight_shape = layer.weight_shape(in_shape)
+    weight_shapes = [l.weight_shape(s) for l, s in zip(spec.layers, in_shapes)]
+    if file_bytes is not None:
+        # a weights and a bias tensor: each a u32 rank, u32 dims, f64 values
+        need = sum(12 + 4 * len(ws[0]) + 8 * (math.prod(ws[0]) + out[0])
+                   for ws, out in zip(weight_shapes, shapes) if ws is not None)
+        if need > file_bytes:
+            raise TruncatedWeightsError(
+                f"the spec's tensors take {need} bytes, but the file holds "
+                f"{file_bytes} after its header")
+    params = []
+    for weight_shape, out_shape in zip(weight_shapes, shapes):
         if weight_shape is None:
             params.append({})
             continue
@@ -398,9 +421,10 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
 
     In train_mode, inverted dropout is applied, driven by dropout_seed
     (one splitmix64 stream consumed across Dropout layers in order).
-    With capture on, every layer output is stored in model.cache.
+    With capture on, every layer output is stored in model.cache.  The
+    batch is cast to model.dtype, the dtype of every layer output.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=model.dtype)
     expect = tuple(model.spec.input_shape)
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ShapeError(f"batch shape {x.shape} does not match (N,)+{expect}")
@@ -443,9 +467,9 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
     """Backpropagate from the pre-softmax logits.
 
     `upstream` (N, K) is the gradient of the loss w.r.t. the logits, as
-    produced by optim.sparse_ce; the SoftmaxOutput layer itself is fused
-    into the loss and skipped here.  Reads `cache`, by default model.cache
-    of the last capture forward.
+    produced by optim.sparse_ce, cast to model.dtype; the SoftmaxOutput
+    layer itself is fused into the loss and skipped here.  Reads `cache`,
+    by default model.cache of the last capture forward.
 
     The pass runs layers n-1 down to `stop`, so it fills the activation
     gradients at indices >= stop and leaves the lower ones None.  Without
@@ -460,7 +484,7 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
     if cache is None:
         raise ShapeError("backward requires a prior forward with capture=True")
     acts = cache.activations
-    g = np.asarray(upstream, dtype=np.float64)
+    g = np.asarray(upstream, dtype=model.dtype)
     if g.shape != acts[-1].shape:
         raise ShapeError(f"upstream shape {g.shape} != output shape {acts[-1].shape}")
 
@@ -483,7 +507,7 @@ def forward_from(model: Model, layer_index: int, activation: np.ndarray) -> np.n
     Returns the pre-softmax logits.  Eval mode (dropout off); used by the
     saliency code for finite-difference probes.
     """
-    x = np.asarray(activation, dtype=np.float64)
+    x = np.asarray(activation, dtype=model.dtype)
     if x.ndim == 4:
         x = ops._to_nhwc(x)
     return _run(model, x, layer_index + 1, len(model.spec.layers) - 1, None, None)
@@ -536,7 +560,7 @@ def load_weights(spec: ModelSpec | None, path) -> Model:
                 f"  given: {spec.canonical()}"
             )
 
-        model = _make_model(spec, rng=None)
+        model = _make_model(spec, rng=None, file_bytes=size - f.tell())
         for li, name, arr in model.param_items():
             if f.tell() + 4 > size:
                 raise TruncatedWeightsError(f"file ends before tensor (layer {li}, {name})")

@@ -1,11 +1,16 @@
 """Differentiable primitives: convolution, pooling, dense, activations.
 
-All arrays are float64.  The public image layout is (batch, channels,
-height, width); internally the conv/pool kernels run channels-last
-(N, H, W, C), which keeps the im2col patch gather contiguous and is what
-makes a pure-numpy training loop fast enough.  The `*_nhwc` variants are
-the core implementations; the public NCHW functions are thin layout
-adapters around them.
+Arrays are float32 or float64: a float32 or float64 array keeps its
+dtype, anything else becomes float64, and each result takes its inputs'
+dtype.  A conv or dense input whose dtype differs from the weights' is a
+ShapeError, not a silent upcast.  Training computes in float32 (see
+optim), everything else in float64.
+
+The public image layout is (batch, channels, height, width); internally
+the conv/pool kernels run channels-last (N, H, W, C), which keeps the
+im2col patch gather contiguous and is what makes a pure-numpy training
+loop fast enough.  The `*_nhwc` variants are the core implementations;
+the public NCHW functions are thin layout adapters around them.
 
 `conv2d` is im2col + matmul, bit-deterministic run to run.  A conv's
 input gradient is computed one image at a time, from an im2col of that
@@ -14,8 +19,8 @@ grad_out is first zero-inserted onto the stride-1 output grid.  The
 max-pool backward routes each window's gradient to the first position
 equal to the pooled output, which the model passes from its forward
 cache, so it recomputes no argmax.  Both it and the ReLU backward multiply
-grad_out's bit pattern by a 0/1 mask, which keeps every value exactly and
-writes +0.0 elsewhere.
+grad_out's bit pattern (int32 or int64, by dtype) by a 0/1 mask, which
+keeps every value exactly and writes +0.0 elsewhere.
 `finite_diff_grad` is the independent oracle every backward rule is
 verified against; `tests/kernels_ref.py` holds a naive-loop conv, which
 the fast conv must match to BLAS rounding, and plainer versions of the
@@ -27,8 +32,26 @@ import numpy as np
 from .errors import ShapeError
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+_BITS = {np.dtype(np.float32): np.int32, np.dtype(np.float64): np.int64}
+
+
+def _as_float(x) -> np.ndarray:
+    """x as a C-contiguous float32 or float64 array: a float32 or float64
+    array keeps its dtype, anything else becomes float64."""
+    x = np.asarray(x)
+    if x.dtype not in _BITS:
+        x = x.astype(np.float64)
+    return np.ascontiguousarray(x)
+
+
+def _bits(x) -> np.ndarray:
+    """The bit pattern of a float32/float64 array, as int32/int64."""
+    return x.view(_BITS[x.dtype])
+
+
+def _check_dtype(what, x, weights):
+    if x.dtype != weights.dtype:
+        raise ShapeError(f"{what} dtype {x.dtype} != weights dtype {weights.dtype}")
 
 
 def _to_nhwc(x) -> np.ndarray:
@@ -55,6 +78,7 @@ def _check_conv_nhwc(x, weights, bias, stride, pad):
         raise ShapeError(f"conv input must be 4-d, got ndim={x.ndim}")
     if weights.ndim != 4:
         raise ShapeError(f"conv weights must be 4-d (O,C,kh,kw), got ndim={weights.ndim}")
+    _check_dtype("conv input", x, weights)
     n, h, w, c = x.shape
     o, cw, kh, kw = weights.shape
     if c != cw:
@@ -112,8 +136,10 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
     grad_input is skipped when not needed (the first layer of a network
     during training), and so are grad_weights and grad_bias (a saliency
     pass reads activation gradients only); a skipped gradient is None.
-    `cols` accepts the patch matrix from a paired forward call.
+    `cols` accepts the patch matrix from a paired forward call.  The
+    gradients take grad_out's dtype, which must be the weights'.
     """
+    _check_dtype("conv grad_out", grad_out, weights)
     n, h, w, c = x.shape
     o, _, kh, kw = weights.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
@@ -128,14 +154,17 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
         grad_w = np.ascontiguousarray(
             (cols.T @ g).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
         )
-        grad_b = g.sum(axis=0)
+        # a ones-vector GEMV: faster than g.sum(axis=0) on a narrow g, and
+        # BLAS's blocked accumulation loses less in float32
+        grad_b = np.ones(g.shape[0], dtype=g.dtype) @ g
 
     grad_x = None
     if need_input_grad:
         if stride > 1:
             # zero-insert onto the stride-1 output grid; its rows and columns
             # past the forward's last window stay zero
-            gd = np.zeros((n, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1, o))
+            gd = np.zeros((n, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1, o),
+                          dtype=grad_out.dtype)
             gd[:, ::stride, ::stride] = grad_out
             grad_out = gd
         grad_x = _conv_input_grad_stride1(weights, pad, grad_out, (n, h, w, c))
@@ -164,7 +193,7 @@ def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
     if qh < 0 or qw < 0:
         ch, cw = max(-qh, 0), max(-qw, 0)
         gp = gp[:, ch:gp.shape[1] - ch, cw:gp.shape[2] - cw]
-    grad_x = np.empty(x_shape)
+    grad_x = np.empty(x_shape, dtype=grad_out.dtype)
     for b in range(n):
         np.matmul(_im2col_nhwc(gp[b:b + 1], kh, kw, 1, h, w), w2,
                   out=grad_x[b].reshape(h * w, c))
@@ -173,7 +202,7 @@ def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
 
 def conv2d(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation (no kernel flip) plus bias, (N,C,H,W) layout."""
-    x, weights, bias = _as_f64(x), _as_f64(weights), _as_f64(bias)
+    x, weights, bias = _as_float(x), _as_float(weights), _as_float(bias)
     if x.ndim != 4:
         raise ShapeError(f"conv input must be 4-d (N,C,H,W), got ndim={x.ndim}")
     return _to_nchw(conv2d_nhwc(_to_nhwc(x), weights, bias, stride, pad))
@@ -181,7 +210,7 @@ def conv2d(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
 
 def conv2d_backward(x, weights, stride, pad, grad_out):
     """Gradients of a scalar loss w.r.t. conv input, weights, and bias."""
-    x, weights, grad_out = _as_f64(x), _as_f64(weights), _as_f64(grad_out)
+    x, weights, grad_out = _as_float(x), _as_float(weights), _as_float(grad_out)
     if grad_out.ndim != 4:
         raise ShapeError(f"conv grad_out must be 4-d, got ndim={grad_out.ndim}")
     gx, gw, gb = conv2d_backward_nhwc(
@@ -214,16 +243,16 @@ def maxpool2_backward_nhwc(x, grad_out, out=None) -> np.ndarray:
 
     `out` is the forward's result, recomputed when not given.  Each
     position gets grad_out's bit pattern times its 0/1 mask, so it holds
-    grad_out exactly (-0.0 included) or +0.0.
+    grad_out exactly (-0.0 included) or +0.0, in grad_out's dtype.
     """
     v = _windows(x)
     if out is None:
         out = maxpool2_nhwc(x)
     if grad_out.shape != out.shape:
         raise ShapeError(f"maxpool2 grad_out shape {grad_out.shape} != {out.shape}")
-    grad_x = np.empty_like(x)
-    gv = _windows(grad_x).view(np.int64)
-    g_bits = _as_f64(grad_out).view(np.int64)
+    g = _as_float(grad_out)
+    grad_x = np.empty(x.shape, dtype=g.dtype)
+    gv, g_bits = _bits(_windows(grad_x)), _bits(g)
     free = np.ones(out.shape, dtype=bool)  # windows not yet routed
     hit = np.empty(out.shape, dtype=bool)
     for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):  # (row, col) order
@@ -236,18 +265,19 @@ def maxpool2_backward_nhwc(x, grad_out, out=None) -> np.ndarray:
 
 def maxpool2(x) -> np.ndarray:
     """2x2 max pooling, stride 2, (N,C,H,W) layout."""
-    return _to_nchw(maxpool2_nhwc(_to_nhwc(_as_f64(x))))
+    return _to_nchw(maxpool2_nhwc(_to_nhwc(_as_float(x))))
 
 
 def maxpool2_backward(x, grad_out) -> np.ndarray:
     """Routes each window's gradient to the first argmax in row-major order."""
-    x, grad_out = _as_f64(x), _as_f64(grad_out)
+    x, grad_out = _as_float(x), _as_float(grad_out)
     return _to_nchw(maxpool2_backward_nhwc(_to_nhwc(x), _to_nhwc(grad_out)))
 
 
 def dense(x, weights, bias) -> np.ndarray:
     """Affine map x @ W + b for x of shape (N, F), W (F, U), b (U,)."""
-    x, weights, bias = _as_f64(x), _as_f64(weights), _as_f64(bias)
+    x, weights, bias = _as_float(x), _as_float(weights), _as_float(bias)
+    _check_dtype("dense input", x, weights)
     if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[0]:
         raise ShapeError(
             f"dense inner dims disagree: input {x.shape} vs weights {weights.shape}"
@@ -260,7 +290,8 @@ def dense(x, weights, bias) -> np.ndarray:
 def dense_backward(x, weights, grad_out, need_param_grads=True):
     """(grad_input, grad_weights, grad_bias); the last two are None without
     need_param_grads."""
-    x, weights, grad_out = _as_f64(x), _as_f64(weights), _as_f64(grad_out)
+    x, weights, grad_out = _as_float(x), _as_float(weights), _as_float(grad_out)
+    _check_dtype("dense grad_out", grad_out, weights)
     grad_x = grad_out @ weights.T
     if not need_param_grads:
         return grad_x, None, None
@@ -268,7 +299,7 @@ def dense_backward(x, weights, grad_out, need_param_grads=True):
 
 
 def relu(x) -> np.ndarray:
-    return np.maximum(_as_f64(x), 0.0)
+    return np.maximum(_as_float(x), 0.0)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
@@ -279,13 +310,13 @@ def relu_backward(x, grad_out) -> np.ndarray:
     give -0.0 for negative values off the mask.  Returns a new array:
     callers keep references to grad_out.
     """
-    return np.multiply(_as_f64(grad_out).view(np.int64),
-                       _as_f64(x) > 0.0).view(np.float64)
+    g = _as_float(grad_out)
+    return np.multiply(_bits(g), _as_float(x) > 0.0).view(g.dtype)
 
 
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability."""
-    z = _as_f64(logits)
+    z = _as_float(logits)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -293,7 +324,7 @@ def softmax(logits) -> np.ndarray:
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar f at x, one probe pair per element."""
-    x = _as_f64(x).copy()
+    x = _as_float(x).copy()
     grad = np.empty_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
@@ -310,7 +341,7 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
 
 def max_rel_error(a, b, atol: float = 1e-9) -> float:
     """Max elementwise relative error, ignoring pairs that agree within atol."""
-    a, b = _as_f64(a), _as_f64(b)
+    a, b = _as_float(a), _as_float(b)
     diff = np.abs(a - b)
     denom = np.maximum(np.abs(a), np.abs(b))
     mask = diff > atol

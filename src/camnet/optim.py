@@ -4,6 +4,13 @@ Softmax and cross-entropy are fused: the model's forward returns
 probabilities, but sparse_ce's gradient is taken w.r.t. the pre-softmax
 logits ((p - onehot)/N), which is what model.backward expects.  This
 keeps gradient checks tight even when predictions saturate.
+
+Training computes in float32 against float64 master weights (mixed
+precision, Micikevicius et al., arXiv:1710.03740): `train` runs every
+forward, backward and validation pass on a float32 copy of the
+parameters, refreshed from the masters after each step, and
+`optimizer_step` applies the float32 gradients to the float64 masters
+and their optimizer state.  The caller's model stays float64.
 """
 
 import csv
@@ -17,6 +24,7 @@ from .errors import DataError, DivergenceError, ShapeError
 from .rng import Rng, derive_seed
 
 OPTIMIZERS = ("adam", "adagrad", "sgd")
+COMPUTE_DTYPE = np.dtype(np.float32)  # of train's forward and backward passes
 
 
 @dataclass
@@ -101,7 +109,8 @@ def init_opt_state(model: nn.Model, kind: str) -> dict:
 
 def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
                    lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """In-place parameter update; state mutated accordingly."""
+    """In-place parameter update; state mutated accordingly.  Gradients of
+    a lower precision are upcast (exactly) to the parameters' dtype first."""
     state["t"] += 1
     t = state["t"]
     for li, name, p in model.param_items():
@@ -109,6 +118,7 @@ def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param {p.shape} "
                              f"(layer {li}, {name})")
+        g = g.astype(p.dtype, copy=False)
         if kind == "sgd":
             p -= lr * g
         elif kind == "adagrad":
@@ -137,6 +147,19 @@ def _to_batch(images, indices):
     return np.stack([np.moveaxis(images[i], -1, 0) for i in indices])
 
 
+def _compute_copy(model: nn.Model) -> nn.Model:
+    """The model with COMPUTE_DTYPE copies of its parameters."""
+    params = [{k: a.astype(COMPUTE_DTYPE) for k, a in p.items()} for p in model.params]
+    return nn.Model(model.spec, params, model.layer_shapes)
+
+
+def _refresh(work: nn.Model, model: nn.Model) -> None:
+    """Round the master parameters of `model` into `work`'s copies in place,
+    after each optimizer step."""
+    for (_, _, dst), (_, _, src) in zip(work.param_items(), model.param_items()):
+        np.copyto(dst, src)
+
+
 def evaluate(model: nn.Model, images, labels, batch_size=32):
     """Eval-mode loss and accuracy over a dataset."""
     total_loss = 0.0
@@ -157,7 +180,9 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
           augment=None) -> TrainReport:
     """Deterministic epoch loop: seeded shuffle (seed ^ epoch), mini-batches,
     train-mode forward, fused loss gradient, optimizer step, then eval-mode
-    validation metrics.
+    validation metrics.  The passes run in COMPUTE_DTYPE on a copy of the
+    parameters; `model`'s own float64 parameters are the masters that the
+    optimizer updates.
 
     train_set / val_set are data.LabeledDataset instances.  When `augment`
     is a (chain_fn, config) style callable taking (image, rng), each train
@@ -176,6 +201,7 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
             raise DataError(f"label {lab} out of model's class range [0,{k})")
 
     state = init_opt_state(model, config.optimizer)
+    work = _compute_copy(model)
     report = TrainReport()
     n = len(train_set.images)
 
@@ -198,20 +224,22 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
                 x = _to_batch(train_set.images, idx)
             y = [train_set.labels[i] for i in idx]
 
-            probs = nn.forward(model, x, train_mode=True,
+            probs = nn.forward(work, x, train_mode=True,
                                dropout_seed=derive_seed(config.seed, epoch, b, 1),
                                capture=True)
             loss, dlogits = sparse_ce(probs, y)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b}")
-            grads = nn.backward(model, dlogits, need_input_grad=False)
+            grads = nn.backward(work, dlogits, need_input_grad=False)
             optimizer_step(config.optimizer, model, grads, state,
                            config.learning_rate, config.beta1, config.beta2,
                            config.eps)
+            _refresh(work, model)
+            work.cache = grads = None  # freed before the next forward builds its own
             epoch_loss += loss * len(y)
             epoch_correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
 
-        val_loss, val_acc = evaluate(model, val_set.images, val_set.labels,
+        val_loss, val_acc = evaluate(work, val_set.images, val_set.labels,
                                      config.batch_size)
         report.rows.append(EpochRow(
             epoch=epoch,

@@ -27,7 +27,7 @@ from camnet import ops
 
 def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Naive-loop cross-correlation, the reference the fast path is checked against."""
-    x, weights, bias = ops._as_f64(x), ops._as_f64(weights), ops._as_f64(bias)
+    x, weights, bias = ops._as_float(x), ops._as_float(weights), ops._as_float(bias)
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)

@@ -52,6 +52,7 @@ def test_train_eval_explain(corpus):
     manifest = open(os.path.join(out, "run.txt")).read()
     assert "train.epochs=2" in manifest
     assert "train.seed=5" in manifest
+    assert "compute_dtype=float32" in manifest.splitlines()
 
     ev = str(root / "eval")
     assert run_cli(["eval", "--data", d, "--weights",
@@ -107,7 +108,9 @@ def explain_inputs(tmp_path_factory):
     negative Conv width or a MaxPool2 after Flatten, a spec file with a
     stride-0 Conv, two PGMs with a negative or zero size, a corpus whose
     split.csv went stale when an image was deleted, a good 16x16 corpus,
-    and a 16x16 corpus with one 20x20 image."""
+    a 16x16 corpus with one 20x20 image, a 100-byte CAMF file whose header
+    declares a Dense layer of 10^11 units, and a corpus with a class
+    directory named with a comma."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
@@ -138,9 +141,16 @@ def explain_inputs(tmp_path_factory):
     data.write_image(os.path.join(mixed, "1_rect", "00002.pgm"),
                      np.full((20, 20, 1), 99, dtype=np.uint8))
     assert run_cli(["split", "--data", mixed]) == 0
+    (root / "huge.camf").write_bytes(
+        nn.WEIGHT_MAGIC + b"input=1x4x4;layers=Conv(1,1,1,0)|Flatten|Dense(100000000000)"
+        b"|Dense(3)|Softmax;classes=a,b,c\n")
+    comma = str(root / "comma")
+    assert run_cli(["synth", "--out", comma, "--n", "4", "--size", "16"]) == 0
+    os.rename(os.path.join(comma, "1_rect"), os.path.join(comma, "1_rect,square"))
+    assert run_cli(["split", "--data", comma]) == 0
     return {"root": str(root), "weights": weights, "image": image,
             "headerless": str(headerless), "binary": str(binary), "stale": stale,
-            "good": good, "mixed": mixed}
+            "good": good, "mixed": mixed, "comma": comma}
 
 
 EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
@@ -192,6 +202,13 @@ BAD_INPUTS = [
       "--out", "{root}/mixed_eval"], 2,
      "{mixed}/1_rect/00002.pgm is 20x20x1, but {mixed}/0_disk/00000.pgm is 16x16x1; "
      "every image must have the same size and channel count"),
+    (["eval", "--data", "{good}", "--weights", "{root}/huge.camf",
+      "--out", "{root}/huge_eval"], 2,
+     "the spec's tensors take 16000000000108 bytes, but the file holds 0 "
+     "after its header"),
+    (["train", "--data", "{comma}", "--out", "{root}/comma_run"], 2,
+     "class name '1_rect,square' holds ',', ';' or a line break, which the "
+     "weight file header uses as separators"),
 ]
 
 

@@ -92,20 +92,58 @@ def test_conv_backward_stride1_finite_difference():
     assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
 
 
-@pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("pad", [0, 1, 2, 3])
-@pytest.mark.parametrize("c,o", [(8, 8), (8, 16), (16, 16)])
-def test_conv_input_grad_matches_reference_bytes(n, pad, c, o):
+def _conv_input_grad_cases(test):
     # channel counts of the presets; see kernels_ref for why they matter
+    for mark in (pytest.mark.parametrize("c,o", [(8, 8), (8, 16), (16, 16)]),
+                 pytest.mark.parametrize("pad", [0, 1, 2, 3]),
+                 pytest.mark.parametrize("n", [1, 3])):
+        test = mark(test)
+    return test
+
+
+@_conv_input_grad_cases
+def test_conv_input_grad_matches_reference_bytes(n, pad, c, o):
+    _check_conv_input_grad_bytes(n, pad, c, o, np.float64)
+
+
+@_conv_input_grad_cases
+def test_conv_input_grad_matches_reference_bytes_float32(n, pad, c, o):
+    _check_conv_input_grad_bytes(n, pad, c, o, np.float32)
+
+
+def _check_conv_input_grad_bytes(n, pad, c, o, dtype):
     r = np.random.default_rng(100 * pad + c + o)
-    x = r.standard_normal((n, 10, 8, c))
-    w = r.standard_normal((o, c, 3, 3))
+    x = r.standard_normal((n, 10, 8, c)).astype(dtype)
+    w = r.standard_normal((o, c, 3, 3)).astype(dtype)
     oh, ow = ops.conv_output_hw(10, 8, 3, 3, 1, pad)
-    g = r.standard_normal((n, oh, ow, o))
+    g = r.standard_normal((n, oh, ow, o)).astype(dtype)
     gx, _, _ = ops.conv2d_backward_nhwc(x, w, 1, pad, g, need_param_grads=False)
     ref = kernels_ref.conv_input_grad_stride1(w, pad, g, x.shape)
-    assert gx.shape == x.shape and gx.flags.c_contiguous
+    assert gx.shape == x.shape and gx.flags.c_contiguous and gx.dtype == dtype
     assert gx.tobytes() == ref.tobytes()
+
+
+def test_dtype_mismatch_is_a_shape_error():
+    x, w, b = np.zeros((1, 4, 4, 2), np.float32), np.ones((3, 2, 3, 3)), np.zeros(3)
+    with pytest.raises(ShapeError, match="conv input dtype float32 != weights dtype float64"):
+        ops.conv2d_nhwc(x, w, b)
+    g = np.zeros((1, 2, 2, 3), np.float32)
+    with pytest.raises(ShapeError, match="conv grad_out dtype float32 != weights dtype float64"):
+        ops.conv2d_backward_nhwc(x.astype(np.float64), w, 1, 0, g)
+    with pytest.raises(ShapeError, match="dense input dtype float64 != weights dtype float32"):
+        ops.dense(np.zeros((2, 3)), np.zeros((3, 4), np.float32), np.zeros(4, np.float32))
+
+
+def test_float32_stays_float32():
+    # the strided conv's input gradient goes through the zero-insert buffer
+    r = np.random.default_rng(3)
+    f32 = lambda *shape: r.standard_normal(shape).astype(np.float32)
+    x, w, b, xd, wd = f32(2, 6, 6, 2), f32(3, 2, 3, 3), f32(3), f32(2, 5), f32(5, 3)
+    out = ops.conv2d_nhwc(x, w, b, 2, 1)
+    results = [out, *ops.conv2d_backward_nhwc(x, w, 2, 1, np.ones_like(out)),
+               ops.relu(x), ops.maxpool2_nhwc(x), ops.dense(xd, wd, b),
+               *ops.dense_backward(xd, wd, f32(2, 3)), ops.softmax(xd)]
+    assert all(a.dtype == np.float32 for a in results)
 
 
 def test_conv_shape_errors():
@@ -164,14 +202,27 @@ def _upstream(shape, seed):
     return g
 
 
-@pytest.mark.parametrize("shape", [(1, 8, 8, 8), (3, 16, 12, 16), (3, 4, 6, 1)])
+POOL_SHAPES = [(1, 8, 8, 8), (3, 16, 12, 16), (3, 4, 6, 1)]
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
 def test_maxpool_kernels_match_reference_bytes(shape):
-    x = _post_relu(shape, 11)
+    _check_maxpool_bytes(shape, np.float64)
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
+def test_maxpool_kernels_match_reference_bytes_float32(shape):
+    _check_maxpool_bytes(shape, np.float32)
+
+
+def _check_maxpool_bytes(shape, dtype):
+    x = _post_relu(shape, 11).astype(dtype)
     out = ops.maxpool2_nhwc(x)
     assert out.tobytes() == kernels_ref.maxpool2_nhwc(x).tobytes()
     assert out.flags.c_contiguous
-    g = _upstream(out.shape, 12)
+    g = _upstream(out.shape, 12).astype(dtype)
     gx = ops.maxpool2_backward_nhwc(x, g, out=out)
+    assert gx.dtype == dtype
     assert gx.tobytes() == kernels_ref.maxpool2_backward_nhwc(x, g).tobytes()
     assert ops.maxpool2_backward_nhwc(x, g).tobytes() == gx.tobytes()
     # one position per window gets the upstream value, the others +0.0
@@ -233,15 +284,28 @@ def test_relu_backward_zero_at_kink():
     assert np.array_equal(g, [0.0, 0.0, 1.0])
 
 
-@pytest.mark.parametrize("shape", [(1, 8, 8, 8), (3, 16, 16, 16), (3, 128)])
+RELU_SHAPES = [(1, 8, 8, 8), (3, 16, 16, 16), (3, 128)]
+
+
+@pytest.mark.parametrize("shape", RELU_SHAPES)
 def test_relu_backward_matches_reference_bytes(shape):
-    x = np.random.default_rng(13).standard_normal(shape).round(1)  # exact zeros
-    g = _upstream(shape, 14)
+    _check_relu_backward_bytes(shape, np.float64)
+
+
+@pytest.mark.parametrize("shape", RELU_SHAPES)
+def test_relu_backward_matches_reference_bytes_float32(shape):
+    _check_relu_backward_bytes(shape, np.float32)
+
+
+def _check_relu_backward_bytes(shape, dtype):
+    x = np.random.default_rng(13).standard_normal(shape).round(1).astype(dtype)  # exact zeros
+    g = _upstream(shape, 14).astype(dtype)
     gx = ops.relu_backward(x, g)
+    assert gx.dtype == dtype
     assert gx.tobytes() == kernels_ref.relu_backward(x, g).tobytes()
     assert not np.signbit(gx[x <= 0.0]).any()
     assert np.signbit(gx[(x > 0.0) & (g == 0.0)]).all()  # -0.0 passes through
-    assert gx is not g and np.array_equal(g, _upstream(shape, 14))
+    assert gx is not g and np.array_equal(g, _upstream(shape, 14).astype(dtype))
 
 
 def test_softmax_uniform():
