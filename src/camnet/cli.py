@@ -22,7 +22,7 @@ from . import gradcheck as gradchecklib
 from . import metrics as metricslib
 from . import model as nn
 from . import optim
-from .errors import CamnetError, ConfigError
+from .errors import CamnetError, ConfigError, ShapeError
 
 SECTIONS = {
     "train": optim.TrainConfig,
@@ -239,6 +239,9 @@ def cmd_explain(args):
     img_u8 = datalib.read_image(args.image)
     img = datalib.minmax_normalize(img_u8)
     c, h, w = model.spec.input_shape
+    if img.shape[2] != c:
+        raise ShapeError(f"image {args.image} has {img.shape[2]} channels, but the "
+                         f"model takes {c}")
     if img.shape[:2] != (h, w):
         img = datalib.resize_bilinear(img, h, w)
     x = np.moveaxis(img, -1, 0)[None]

@@ -11,6 +11,7 @@ definition that makes every pipeline output reproducible.
 """
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -333,13 +334,21 @@ def hflip(img: np.ndarray) -> np.ndarray:
     return img[:, ::-1].copy()
 
 
-def rotate_bilinear(img: np.ndarray, degrees: float, fill: float = 0.0) -> np.ndarray:
-    """Rotate about the image center; bilinear sampling, out-of-bounds = fill.
+@functools.lru_cache(maxsize=8)
+def _rotation_plan(h: int, w: int, degrees: float) -> tuple:
+    """The gather indices and bilinear weights of one (h, w, degrees) rotation.
 
-    A 0-degree rotation is bit-exact identity (source coordinates land on
-    integer pixel centers).
+    Returns (taps, 1 - fy, fy, 1 - fx, fx).  `taps` is a (4, h, w) array
+    with one row per tap, (y0, x0), (y0, x0+1), (y0+1, x0) and (y0+1, x0+1),
+    of flat indices into a (h+2, w+2) copy of the image padded by one pixel
+    of fill: a tap outside the image is clipped onto that border.  The
+    weights are (h, w, 1).  Every array is read-only.
+
+    The cache key is (h, w, degrees).  -0.0 and 0.0 share a key; their
+    plans are the same bits, since sin(-0.0) * x only adds a signed zero
+    to a coordinate sum whose other term is a +0.0 or nonzero.  At most 8
+    plans are kept, each 64 bytes per pixel (1 MiB at 128x128).
     """
-    h, w, c = img.shape
     theta = math.radians(degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -353,17 +362,39 @@ def rotate_bilinear(img: np.ndarray, degrees: float, fill: float = 0.0) -> np.nd
     fy = (src_y - y0)[..., None]
     fx = (src_x - x0)[..., None]
 
-    def sample(yi, xi):
-        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-        return np.where(inside[..., None], vals, fill)
+    rows = [(np.clip(y, -1, h) + 1) * (w + 2) for y in (y0, y0 + 1)]
+    cols = [np.clip(x, -1, w) + 1 for x in (x0, x0 + 1)]
+    plan = (np.stack([r + c for r in rows for c in cols]), 1 - fy, fy, 1 - fx, fx)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
-    out = (
-        sample(y0, x0) * (1 - fy) * (1 - fx)
-        + sample(y0, x0 + 1) * (1 - fy) * fx
-        + sample(y0 + 1, x0) * fy * (1 - fx)
-        + sample(y0 + 1, x0 + 1) * fy * fx
-    )
+
+def rotate_bilinear(img: np.ndarray, degrees: float, fill: float = 0.0) -> np.ndarray:
+    """Rotate about the image center; bilinear sampling, out-of-bounds = fill.
+
+    The coordinates, taps and weights come from the cached
+    `_rotation_plan(h, w, degrees)`.  Each call pads the image with a
+    one-pixel border of `fill` (in the dtype numpy gives the image and
+    `fill` together, so float32 stays float32), gathers the four taps and
+    sums s00*(1-fy)*(1-fx) + s01*(1-fy)*fx + s10*fy*(1-fx) + s11*fy*fx,
+    each product left to right, into a float64 image.
+
+    A 0-degree rotation returns the image's values: every source
+    coordinate lands on a pixel center, so fy = fx = 0 and the three
+    other taps add zeros.
+    """
+    h, w, c = img.shape
+    taps, wy0, wy1, wx0, wx1 = _rotation_plan(h, w, degrees)
+    padded = np.full((h + 2, w + 2, c), fill, dtype=np.result_type(img, fill))
+    padded[1:-1, 1:-1] = img
+    s00, s01, s10, s11 = np.take(padded.reshape(-1, c), taps, axis=0)
+    out = s00 * wy0
+    out *= wx0
+    for s, wy, wx in ((s01, wy0, wx1), (s10, wy1, wx0), (s11, wy1, wx1)):
+        term = s * wy
+        term *= wx
+        out += term
     return out
 
 

@@ -18,7 +18,12 @@ The conv reference matches the per-image version byte for byte only
 where BLAS row results do not depend on the number of rows. That holds
 for OpenBLAS at the channel counts of the presets (8, 16 and 32), not at
 every shape: 2-4 columns, or a single row, take other code paths.
+
+`rotate_bilinear_reference` is `data.rotate_bilinear` before its cached
+resampling plan. The library's version must give its bytes and dtype.
 """
+
+import math
 
 import numpy as np
 
@@ -88,3 +93,33 @@ def conv_input_grad_stride1(weights, pad, grad_out, x_shape):
     grad_xp = (gcols @ w2).reshape(n, h + 2 * pad, w + 2 * pad, c)
     return grad_xp if pad == 0 else np.ascontiguousarray(
         grad_xp[:, pad:-pad, pad:-pad, :])
+
+
+def rotate_bilinear_reference(img, degrees: float, fill: float = 0.0):
+    """`data.rotate_bilinear` as it was before the cached plan: coordinates,
+    clipped taps and `np.where` masks computed on every call."""
+    h, w, c = img.shape
+    theta = math.radians(degrees)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    # inverse rotation of each destination pixel into source coordinates
+    src_y = sin_t * xx + cos_t * yy + cy
+    src_x = cos_t * xx - sin_t * yy + cx
+
+    y0 = np.floor(src_y).astype(int)
+    x0 = np.floor(src_x).astype(int)
+    fy = (src_y - y0)[..., None]
+    fx = (src_x - x0)[..., None]
+
+    def sample(yi, xi):
+        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+        return np.where(inside[..., None], vals, fill)
+
+    return (
+        sample(y0, x0) * (1 - fy) * (1 - fx)
+        + sample(y0, x0 + 1) * (1 - fy) * fx
+        + sample(y0 + 1, x0) * fy * (1 - fx)
+        + sample(y0 + 1, x0 + 1) * fy * fx
+    )

@@ -109,14 +109,15 @@ def explain_inputs(tmp_path_factory):
     stride-0 Conv, two PGMs with a negative or zero size, a corpus whose
     split.csv went stale when an image was deleted, a good 16x16 corpus,
     a 16x16 corpus with one 20x20 image, a 100-byte CAMF file whose header
-    declares a Dense layer of 10^11 units, and a corpus with a class
-    directory named with a comma."""
+    declares a Dense layer of 10^11 units, a corpus with a class
+    directory named with a comma, and a 16x16 RGB image."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
                     weights)
     image = str(root / "x.pgm")
     data.write_image(image, np.full((16, 16, 1), 128, dtype=np.uint8))
+    data.write_image(str(root / "rgb.ppm"), np.full((16, 16, 3), 128, dtype=np.uint8))
     headerless = root / "headerless.camf"
     headerless.write_bytes(nn.WEIGHT_MAGIC + b"input=1x16x16;layers=Conv(8,3,1,1)")
     binary = root / "binary.camf"
@@ -206,6 +207,8 @@ BAD_INPUTS = [
       "--out", "{root}/huge_eval"], 2,
      "the spec's tensors take 16000000000108 bytes, but the file holds 0 "
      "after its header"),
+    (["explain", "--weights", "{weights}", "--image", "{root}/rgb.ppm"], 2,
+     "image {root}/rgb.ppm has 3 channels, but the model takes 1"),
     (["train", "--data", "{comma}", "--out", "{root}/comma_run"], 2,
      "class name '1_rect,square' holds ',', ';' or a line break, which the "
      "weight file header uses as separators"),

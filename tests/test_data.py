@@ -1,5 +1,6 @@
 """Image I/O, preprocessing, splitting, augmentation, synthetic corpus."""
 
+import kernels_ref
 import numpy as np
 import pytest
 
@@ -252,6 +253,47 @@ def test_rotation_round_trip_interior():
     interior = (slice(8, 24), slice(8, 24))
     mae = np.abs(back[interior] - img[interior]).mean()
     assert mae <= 0.02
+
+
+ROTATION_ANGLES = (0.0, -0.0, 9.0, -9.0, 13.0, -13.0, 90.0, 180.0, 45.5, 1e-9, 1e6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rotation_matches_reference_bytes(dtype):
+    rng = np.random.default_rng(11)
+    for h, w in ((1, 1), (2, 3), (17, 16), (128, 128)):
+        for c in (1, 3):
+            img = rng.random((h, w, c)).astype(dtype)
+            img[0, 0, 0] = -0.0  # a signed zero for the 0-degree sums
+            for degrees in ROTATION_ANGLES:
+                for fill in (0.0, 0.5, -1.0, 0.1):
+                    want = kernels_ref.rotate_bilinear_reference(img, degrees, fill)
+                    got = data.rotate_bilinear(img, degrees, fill)
+                    case = (h, w, c, degrees, fill)
+                    assert got.dtype == want.dtype, case
+                    assert got.tobytes() == want.tobytes(), case
+
+
+def test_rotation_plan_cache_is_bounded_and_reused():
+    assert data._rotation_plan.cache_info().maxsize == 8
+    data._rotation_plan.cache_clear()
+    rng = np.random.default_rng(12)
+    for degrees in (13.0, 0.0, -0.0):
+        hits = data._rotation_plan.cache_info().hits
+        for _ in range(2):
+            img = rng.random((17, 16, 1))
+            assert data.rotate_bilinear(img, degrees).tobytes() == \
+                kernels_ref.rotate_bilinear_reference(img, degrees).tobytes()
+        assert data._rotation_plan.cache_info().hits > hits
+    # -0.0 and 0.0 share a key because their plans are the same bits
+    fresh = data._rotation_plan.__wrapped__
+    for a, b in zip(fresh(17, 16, 0.0), fresh(17, 16, -0.0)):
+        assert a.tobytes() == b.tobytes()
+    for degrees in range(20):
+        data.rotate_bilinear(np.zeros((3, 3, 1)), float(degrees))
+    assert data._rotation_plan.cache_info().currsize == 8
+    plan = data._rotation_plan(3, 3, 19.0)
+    assert not any(a.flags.writeable for a in plan)
 
 
 def test_rng_consumption_contract():

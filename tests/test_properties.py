@@ -1,10 +1,13 @@
-"""Property tests: the spec grammar round-trips, and malformed spec text,
+"""Property tests: the spec grammar round-trips, malformed spec text,
 weight files and Netpbm bytes end in a CamnetError, never another
-exception.  Derandomized, so every run checks the same examples."""
+exception, and the cached-plan rotation gives its reference's bytes.
+Derandomized, so every run checks the same examples."""
 
 import re
 
 import hypothesis.strategies as st
+import kernels_ref
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -92,3 +95,17 @@ def test_netpbm_bytes_fail_only_with_camnet_errors(raw):
         data.decode_netpbm(raw)
     except CamnetError:
         pass
+
+
+@SETTINGS
+@given(st.integers(1, 39), st.integers(1, 39), st.sampled_from([1, 3]),
+       st.one_of(st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0]),
+                 st.floats(-720.0, 720.0)),
+       st.sampled_from([0.0, 0.5, -1.0, 0.1]), st.sampled_from([np.float64, np.float32]),
+       st.integers(0, 2**32 - 1))
+def test_rotation_gives_reference_bytes(h, w, c, degrees, fill, dtype, seed):
+    img = np.random.default_rng(seed).random((h, w, c)).astype(dtype)
+    want = kernels_ref.rotate_bilinear_reference(img, degrees, fill)
+    got = data.rotate_bilinear(img, degrees, fill)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
