@@ -334,50 +334,64 @@ def hflip(img: np.ndarray) -> np.ndarray:
     return img[:, ::-1].copy()
 
 
-@functools.lru_cache(maxsize=8)
-def _rotation_plan(h: int, w: int, degrees: float) -> tuple:
+def _build_rotation_plan(h: int, w: int, degrees: float) -> tuple:
     """The gather indices and bilinear weights of one (h, w, degrees) rotation.
 
-    Returns (taps, 1 - fy, fy, 1 - fx, fx).  `taps` is a (4, h, w) array
-    with one row per tap, (y0, x0), (y0, x0+1), (y0+1, x0) and (y0+1, x0+1),
-    of flat indices into a (h+2, w+2) copy of the image padded by one pixel
-    of fill: a tap outside the image is clipped onto that border.  The
-    weights are (h, w, 1).  Every array is read-only.
-
-    The cache key is (h, w, degrees).  -0.0 and 0.0 share a key; their
-    plans are the same bits, since sin(-0.0) * x only adds a signed zero
-    to a coordinate sum whose other term is a +0.0 or nonzero.  At most 8
-    plans are kept, each 64 bytes per pixel (1 MiB at 128x128).
+    Returns (taps, fy, fx).  `taps` is an (h, w) array of the flat index,
+    in a (h+4, w+4) copy of the image padded by two pixels of fill, of each
+    destination pixel's top-left source tap (y0, x0); its other three taps
+    sit 1, w+4 and w+5 further on.  A y0 below -2 or above h is clipped to
+    -2 or h, where y0 and y0+1 both lie on the border and read fill; x0
+    likewise.  fy and fx are (h, w, 1).  Every array is read-only; a plan
+    takes 24 bytes per pixel (384 KiB at 128x128).
     """
     theta = math.radians(degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    ys = (np.arange(h) - cy)[:, None]
+    xs = np.arange(w) - cx
     # inverse rotation of each destination pixel into source coordinates
-    src_y = sin_t * xx + cos_t * yy + cy
-    src_x = cos_t * xx - sin_t * yy + cx
+    src_y = sin_t * xs + cos_t * ys + cy
+    src_x = cos_t * xs - sin_t * ys + cx
 
-    y0 = np.floor(src_y).astype(int)
-    x0 = np.floor(src_x).astype(int)
+    y0 = np.floor(src_y)
+    x0 = np.floor(src_x)
     fy = (src_y - y0)[..., None]
     fx = (src_x - x0)[..., None]
-
-    rows = [(np.clip(y, -1, h) + 1) * (w + 2) for y in (y0, y0 + 1)]
-    cols = [np.clip(x, -1, w) + 1 for x in (x0, x0 + 1)]
-    plan = (np.stack([r + c for r in rows for c in cols]), 1 - fy, fy, 1 - fx, fx)
+    rows = np.clip(y0.astype(np.intp), -2, h) + 2
+    cols = np.clip(x0.astype(np.intp), -2, w) + 2
+    plan = (rows * (w + 4) + cols, fy, fx)
     for a in plan:
         a.setflags(write=False)
     return plan
 
 
+# Plans of images up to this many pixels are kept, at most 8 of them, so
+# the cache never holds more than 12 MiB.  A larger image builds its plan
+# on every call.
+_PLAN_CACHE_PIXELS = 256 * 256
+_cached_rotation_plan = functools.lru_cache(maxsize=8)(_build_rotation_plan)
+
+
+def _rotation_plan(h: int, w: int, degrees: float) -> tuple:
+    """`_build_rotation_plan`, from the cache for images of up to
+    `_PLAN_CACHE_PIXELS` pixels.  The key is (h, w, degrees): -0.0 and 0.0
+    share one, and their plans are the same bits, since sin(-0.0) * x
+    only adds a signed zero to a coordinate sum whose other term is +0.0
+    or nonzero."""
+    if h * w > _PLAN_CACHE_PIXELS:
+        return _build_rotation_plan(h, w, degrees)
+    return _cached_rotation_plan(h, w, degrees)
+
+
 def rotate_bilinear(img: np.ndarray, degrees: float, fill: float = 0.0) -> np.ndarray:
     """Rotate about the image center; bilinear sampling, out-of-bounds = fill.
 
-    The coordinates, taps and weights come from the cached
-    `_rotation_plan(h, w, degrees)`.  Each call pads the image with a
-    one-pixel border of `fill` (in the dtype numpy gives the image and
-    `fill` together, so float32 stays float32), gathers the four taps and
-    sums s00*(1-fy)*(1-fx) + s01*(1-fy)*fx + s10*fy*(1-fx) + s11*fy*fx,
+    The taps and weights come from `_rotation_plan(h, w, degrees)`.  Each
+    call pads the image with a two-pixel border of `fill` (in the dtype
+    numpy gives the image and `fill` together, so float32 stays float32),
+    gathers the four taps and sums
+    s00*(1-fy)*(1-fx) + s01*(1-fy)*fx + s10*fy*(1-fx) + s11*fy*fx,
     each product left to right, into a float64 image.
 
     A 0-degree rotation returns the image's values: every source
@@ -385,13 +399,15 @@ def rotate_bilinear(img: np.ndarray, degrees: float, fill: float = 0.0) -> np.nd
     other taps add zeros.
     """
     h, w, c = img.shape
-    taps, wy0, wy1, wx0, wx1 = _rotation_plan(h, w, degrees)
-    padded = np.full((h + 2, w + 2, c), fill, dtype=np.result_type(img, fill))
-    padded[1:-1, 1:-1] = img
-    s00, s01, s10, s11 = np.take(padded.reshape(-1, c), taps, axis=0)
+    taps, fy, fx = _rotation_plan(h, w, degrees)
+    padded = np.full((h + 4, w + 4, c), fill, dtype=np.result_type(img, fill))
+    padded[2:-2, 2:-2] = img
+    flat = padded.reshape(-1, c)
+    s00, s01, s10, s11 = (np.take(flat[k:], taps, axis=0) for k in (0, 1, w + 4, w + 5))
+    wy0, wx0 = 1 - fy, 1 - fx
     out = s00 * wy0
     out *= wx0
-    for s, wy, wx in ((s01, wy0, wx1), (s10, wy1, wx0), (s11, wy1, wx1)):
+    for s, wy, wx in ((s01, wy0, fx), (s10, fy, wx0), (s11, fy, fx)):
         term = s * wy
         term *= wx
         out += term

@@ -275,25 +275,37 @@ def test_rotation_matches_reference_bytes(dtype):
 
 
 def test_rotation_plan_cache_is_bounded_and_reused():
-    assert data._rotation_plan.cache_info().maxsize == 8
-    data._rotation_plan.cache_clear()
+    cached = data._cached_rotation_plan
+    assert cached.cache_info().maxsize == 8
+    cached.cache_clear()
     rng = np.random.default_rng(12)
     for degrees in (13.0, 0.0, -0.0):
-        hits = data._rotation_plan.cache_info().hits
+        hits = cached.cache_info().hits
         for _ in range(2):
             img = rng.random((17, 16, 1))
             assert data.rotate_bilinear(img, degrees).tobytes() == \
                 kernels_ref.rotate_bilinear_reference(img, degrees).tobytes()
-        assert data._rotation_plan.cache_info().hits > hits
+        assert cached.cache_info().hits > hits
     # -0.0 and 0.0 share a key because their plans are the same bits
-    fresh = data._rotation_plan.__wrapped__
+    fresh = data._build_rotation_plan
     for a, b in zip(fresh(17, 16, 0.0), fresh(17, 16, -0.0)):
         assert a.tobytes() == b.tobytes()
     for degrees in range(20):
         data.rotate_bilinear(np.zeros((3, 3, 1)), float(degrees))
-    assert data._rotation_plan.cache_info().currsize == 8
+    assert cached.cache_info().currsize == 8
     plan = data._rotation_plan(3, 3, 19.0)
     assert not any(a.flags.writeable for a in plan)
+    # 24 bytes a pixel, and only images up to the pixel limit are kept:
+    # the cache never holds more than 12 MiB
+    assert sum(a.nbytes for a in fresh(17, 16, 13.0)) == 24 * 17 * 16
+    assert 8 * 24 * data._PLAN_CACHE_PIXELS <= 12 << 20
+    misses = cached.cache_info().misses
+    img = rng.random((257, 256, 1))
+    for _ in range(2):
+        assert data.rotate_bilinear(img, 13.0).tobytes() == \
+            kernels_ref.rotate_bilinear_reference(img, 13.0).tobytes()
+    assert cached.cache_info().misses == misses
+    assert cached.cache_info().currsize == 8
 
 
 def test_rng_consumption_contract():
