@@ -28,6 +28,15 @@ cache gives the predicted class and feeds every method called with it as
 `cache=` (without one, a method captures the image itself).  Each
 backward pass stops at the output of the target layer and computes no
 parameter gradient, so no layer below the target is visited.
+
+Rows per capture: every score gradient is a combination of the logit
+rows J_k at the target, J_c for logit, exp(z_c) J_c for exp_logit and
+sum_k dp_c/dz_k J_k for probability, and the Hessian diagonal above is
+made of the same rows.  Each row is one one-row backward, run at most
+once per (target layer, k) and kept read-only in the capture's
+`ForwardCache.logit_rows`, so `gradcam` and `gradcam_pp` on one capture
+share them: one backward for the logit and exp_logit scores and one per
+class for probability, whichever methods run.
 """
 
 from dataclasses import dataclass
@@ -96,13 +105,20 @@ def _logits(model: nn.Model, cache: nn.ForwardCache) -> np.ndarray:
     return cache.activations[len(model.spec.layers) - 1]
 
 
-def _grad_at(model: nn.Model, cache: nn.ForwardCache, idx: int,
-             upstream: np.ndarray) -> np.ndarray:
-    """d<upstream, logits>/dA at layer idx's output, (K, U, V): a backward
-    that stops there and computes no parameter gradient."""
-    grads = nn.backward(model, upstream, stop=idx + 1, need_param_grads=False,
-                        cache=cache)
-    return grads.activation_nchw(idx + 1)[0]
+def _logit_row(model: nn.Model, cache: nn.ForwardCache, idx: int, k: int) -> np.ndarray:
+    """J_k = dlogit_k/dA at layer idx's output, (C, U, V), read-only.  The
+    first call per (idx, k) on a capture runs one backward that stops there
+    and computes no parameter gradient; later calls return the same array."""
+    row = cache.logit_rows.get((idx, k))
+    if row is None:
+        e = np.zeros(_logits(model, cache).shape)
+        e[0, k] = 1.0
+        grads = nn.backward(model, e, stop=idx + 1, need_param_grads=False,
+                            cache=cache)
+        row = grads.activation_nchw(idx + 1)[0]
+        row.flags.writeable = False
+        cache.logit_rows[(idx, k)] = row
+    return row
 
 
 def _score_logit_grad(logits: np.ndarray, class_index: int, kind: str) -> np.ndarray:
@@ -140,6 +156,17 @@ def _score_logit_hessian(logits: np.ndarray, class_index: int, kind: str) -> np.
     return s
 
 
+def _score_grad(model: nn.Model, cache: nn.ForwardCache, idx: int, class_index: int,
+                kind: str) -> np.ndarray:
+    """dY_c/dA at layer idx's output as the combination of logit rows
+    sum_k dY_c/dz_k J_k.  The logit score returns J_c itself, read-only."""
+    if kind == "logit":
+        return _logit_row(model, cache, idx, class_index)
+    g = _score_logit_grad(_logits(model, cache), class_index, kind)[0]
+    zero = np.zeros_like(cache.activation_nchw(idx + 1)[0])
+    return sum((g[k] * _logit_row(model, cache, idx, k) for k in np.flatnonzero(g)), zero)
+
+
 def grad_wrt_activations(model: nn.Model, image, class_index: int,
                          target_layer: int | None = None,
                          score_kind: str = "logit",
@@ -147,13 +174,13 @@ def grad_wrt_activations(model: nn.Model, image, class_index: int,
     """dY_c/dA for the target conv layer's output, shape (K, U, V).
 
     Eval mode (dropout off).  Runs on `cache`, a capture of `image`, or
-    captures the image itself when cache is None.
+    captures the image itself when cache is None.  For the logit score the
+    result is the capture's memoised row J_c, which is read-only.
     """
     cfg = CamConfig(target_layer=target_layer, score_kind=score_kind)
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
-    g = _score_logit_grad(_logits(model, cache), class_index, score_kind)
-    return _grad_at(model, cache, idx, g)
+    return _score_grad(model, cache, idx, class_index, score_kind)
 
 
 def _combine(model: nn.Model, cache: nn.ForwardCache, idx: int, alpha: np.ndarray,
@@ -182,7 +209,7 @@ def hessian_diag(model: nn.Model, image, class_index: int,
                  cfg: CamConfig | None = None,
                  cache: nn.ForwardCache | None = None) -> np.ndarray:
     """Diagonal of d2Y_c/dA^2 at the target layer, shape (K, U, V), by the
-    closed form of the module docstring: one backward pass per class in the
+    closed form of the module docstring: one logit row per class in the
     support of S, on `cache` or on a capture of `image` when cache is None."""
     cfg = cfg or CamConfig()
     if target_layer is not None:
@@ -190,8 +217,7 @@ def hessian_diag(model: nn.Model, image, class_index: int,
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
     s = _score_logit_hessian(_logits(model, cache), class_index, cfg.score_kind)
-    rows = {k: _grad_at(model, cache, idx, np.eye(s.shape[0])[k:k + 1])
-            for k in np.flatnonzero(s.any(axis=0))}
+    rows = {k: _logit_row(model, cache, idx, k) for k in np.flatnonzero(s.any(axis=0))}
     zero = np.zeros_like(cache.activation_nchw(idx + 1)[0])
     return sum((s[k, l] * rows[k] * rows[l] for k in rows for l in rows), zero)
 
@@ -203,8 +229,8 @@ def gradcam_pp(model: nn.Model, image, class_index: int,
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
     hess = hessian_diag(model, image, class_index, idx, cfg, cache)
-    g = _score_logit_grad(_logits(model, cache), class_index, cfg.score_kind)
-    alpha = (hess + 2.0 * _grad_at(model, cache, idx, g)).mean(axis=(1, 2))
+    g = _score_grad(model, cache, idx, class_index, cfg.score_kind)
+    alpha = (hess + 2.0 * g).mean(axis=(1, 2))
     return _combine(model, cache, idx, alpha, class_index, "gradcam_pp")
 
 

@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 usage error, 2 data/format error,
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from . import gradcheck as gradchecklib
 from . import metrics as metricslib
 from . import model as nn
 from . import optim
-from .errors import CamnetError, ConfigError, ShapeError
+from .errors import BuildError, CamnetError, ConfigError, ShapeError
+from .tuning import keep_malloc_pages
 
 SECTIONS = {
     "train": optim.TrainConfig,
@@ -144,9 +147,10 @@ def cmd_augment(args):
     configs = load_run_config(args.config, args.set or ())
     aug = configs["augment"]
     aug.seed = args.seed
-    ds = datalib.load_directory(args.data)
+    ds = datalib.list_directory(args.data)  # one image in memory at a time
     os.makedirs(args.out, exist_ok=True)
-    for i, (img, path) in enumerate(zip(ds.images, ds.paths)):
+    for i, path in enumerate(ds.paths):
+        img = datalib.minmax_normalize(datalib.read_image(path))
         rng = datalib.Rng(datalib.derive_seed(args.seed, i))
         out_img = datalib.augment_chain(img, aug, rng)
         rel = os.path.relpath(path, args.data)
@@ -235,7 +239,12 @@ def cmd_eval(args):
 
 
 def cmd_explain(args):
+    start = time.perf_counter()
     model = nn.load_weights(None, args.weights)
+    n_classes = len(model.spec.class_names)
+    if args.class_index is not None and not 0 <= args.class_index < n_classes:
+        raise BuildError(f"class index {args.class_index} is out of range for "
+                         f"{n_classes} classes; valid: 0..{n_classes - 1}")
     img_u8 = datalib.read_image(args.image)
     img = datalib.minmax_normalize(img_u8)
     c, h, w = model.spec.input_shape
@@ -271,6 +280,8 @@ def cmd_explain(args):
     write_run_manifest(out_dir, {"cam": cfg}, {
         "command": "explain", "weights": args.weights, "image": args.image,
         "class": class_name, "files": ";".join(written),
+        "backward_passes": len(cache.logit_rows),
+        "elapsed_s": f"{time.perf_counter() - start:.3f}",
     })
     print(f"predicted {class_name} (p={probs[class_index]:.4f}); "
           f"wrote {len(written)} files")
@@ -284,7 +295,10 @@ def cmd_gradcheck(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  It binds no command
+    function: main looks cmd_<command> up in this module on every call."""
     p = _Parser(prog="camnet", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -293,14 +307,12 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True, help="images per class")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--size", type=int, default=128)
-    sp.set_defaults(fn=cmd_synth)
 
     sp = sub.add_parser("split", help="write a stratified split manifest")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ratios", default="0.8,0.1,0.1")
-    sp.set_defaults(fn=cmd_split)
 
     sp = sub.add_parser("augment", help="write augmented copies of a directory")
     sp.add_argument("--data", required=True)
@@ -308,7 +320,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config")
     sp.add_argument("--set", action="append")
-    sp.set_defaults(fn=cmd_augment)
 
     sp = sub.add_parser("train", help="train a model and write weights + report")
     sp.add_argument("--data", required=True)
@@ -321,14 +332,12 @@ def build_parser():
     sp.add_argument("--set", action="append")
     sp.add_argument("--augment", action="store_true",
                     help="apply the augmentation chain to training batches")
-    sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate weights on the test split")
     sp.add_argument("--data", required=True)
     sp.add_argument("--manifest")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--out", default="eval")
-    sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("explain", help="write saliency heatmaps for one image")
     sp.add_argument("--weights", required=True)
@@ -339,17 +348,18 @@ def build_parser():
     sp.add_argument("--out")
     sp.add_argument("--config")
     sp.add_argument("--set", action="append")
-    sp.set_defaults(fn=cmd_explain)
 
     sp = sub.add_parser("gradcheck", help="run the finite-difference verification suite")
-    sp.set_defaults(fn=cmd_gradcheck)
     return p
 
 
 def main(argv=None):
+    """Run one command.  Every command runs under the malloc policy of
+    tuning.keep_malloc_pages, which train needs and batch-1 calls gain from."""
+    keep_malloc_pages()
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(1)

@@ -292,28 +292,34 @@ def stratified_split(dataset: LabeledDataset, ratios=(0.8, 0.1, 0.1),
     return SplitManifest(sorted(train), sorted(val), sorted(test), seed, counts)
 
 
-def load_directory(root) -> LabeledDataset:
-    """Load `<root>/<class_name>/*.pgm` with classes in alphabetical order.
-
-    Images are min-max normalized to ImageF on load.
-    """
+def list_directory(root) -> LabeledDataset:
+    """The corpus `<root>/<class_name>/*.pgm|*.ppm`, classes in alphabetical
+    order, with its paths and labels only: every image is None, for callers
+    that read one image at a time."""
     classes = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
     )
     if not classes:
         raise DataError(f"no class directories under {root}")
-    images, labels, paths = [], [], []
+    labels, paths = [], []
     for lab, cname in enumerate(classes):
         cdir = os.path.join(root, cname)
         files = sorted(f for f in os.listdir(cdir) if f.endswith((".pgm", ".ppm")))
         if not files:
             raise DataError(f"class directory {cdir} has no .pgm/.ppm files")
-        for fname in files:
-            p = os.path.join(cdir, fname)
-            images.append(minmax_normalize(read_image(p)))
-            labels.append(lab)
-            paths.append(p)
-    return LabeledDataset(images, labels, classes, paths)
+        labels += [lab] * len(files)
+        paths += [os.path.join(cdir, f) for f in files]
+    return LabeledDataset([None] * len(paths), labels, classes, paths)
+
+
+def load_directory(root) -> LabeledDataset:
+    """Load `<root>/<class_name>/*.pgm` with classes in alphabetical order.
+
+    Images are min-max normalized to ImageF on load.
+    """
+    ds = list_directory(root)
+    ds.images = [minmax_normalize(read_image(p)) for p in ds.paths]
+    return ds
 
 
 # ---------------------------------------------------------------------------

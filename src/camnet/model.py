@@ -331,12 +331,15 @@ class ForwardCache:
     the public (N,C,H,W) view.  dropout_masks[i] holds the (already
     1/(1-rate)-scaled) mask used by Dropout layer i during a train-mode
     pass.  conv_cols[i] keeps the im2col patch matrix of Conv layer i so
-    backward can reuse it instead of rebuilding it.
+    backward can reuse it instead of rebuilding it.  logit_rows[(i, k)]
+    memoises the saliency code's read-only gradient of logit k at layer
+    i's output, so each such backward runs once per capture.
     """
 
     activations: list
     dropout_masks: dict
     conv_cols: dict = field(default_factory=dict)
+    logit_rows: dict = field(default_factory=dict)
 
     def activation_nchw(self, i: int) -> np.ndarray:
         """activations[i] in the public (N,C,H,W) layout when 4-d."""

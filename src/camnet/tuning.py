@@ -4,8 +4,13 @@ numpy releases large buffers straight back to the OS (glibc mmaps
 allocations above a threshold), so a training step that churns through
 hundreds of MB of scratch pays page-fault cost on every batch.  Raising
 the malloc mmap/trim thresholds keeps those pages cached in the heap and
-speeds the loop up severalfold.  Results are unaffected; this is safe to
-skip on non-glibc platforms.
+speeds the loop up severalfold.  Batch-1 work gains too: every float64
+buffer of 128 KiB or more (a 128x128 explain's im2col, its activations)
+would otherwise be mapped and faulted in afresh on each call.
+`cli.main` applies the policy on entry, so every command runs under it;
+`optim.train` applies it as well for library callers.  The call is
+idempotent.  Results are unaffected; this is safe to skip on non-glibc
+platforms.
 """
 
 import ctypes

@@ -21,13 +21,18 @@ every shape: 2-4 columns, or a single row, take other code paths.
 
 `rotate_bilinear_reference` is `data.rotate_bilinear` before its cached
 resampling plan. The library's version must give its bytes and dtype.
+
+`score_grad_reference` is the saliency score gradient as one stopped
+backward of d(score)/d(logits), before `cam` formed it from memoised
+logit rows. The logit score must give its bytes; the other scores round
+differently and are compared at a tolerance.
 """
 
 import math
 
 import numpy as np
 
-from camnet import ops
+from camnet import cam, model as nn, ops
 
 
 def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -123,3 +128,12 @@ def rotate_bilinear_reference(img, degrees: float, fill: float = 0.0):
         + sample(y0 + 1, x0) * fy * (1 - fx)
         + sample(y0 + 1, x0 + 1) * fy * fx
     )
+
+
+def score_grad_reference(model, cache, idx, class_index, kind):
+    """dY_c/dA at layer idx's output, (C, U, V), as `cam` computed it
+    before it formed score gradients from memoised logit rows: one stopped
+    backward of d(score)/d(logits) per call."""
+    g = cam._score_logit_grad(cam._logits(model, cache), class_index, kind)
+    grads = nn.backward(model, g, stop=idx + 1, need_param_grads=False, cache=cache)
+    return grads.activation_nchw(idx + 1)[0]

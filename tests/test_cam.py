@@ -253,6 +253,83 @@ def test_heatmap_invariants_random_inputs():
                 assert heat.normalized.max() == pytest.approx(1.0, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# shared logit rows
+
+def _reference_alpha(model, x, class_index, cfg, method):
+    """alpha of `method` from the per-score backward of kernels_ref, on a
+    fresh capture, and the target layer index."""
+    cache = cam.capture(model, x)
+    idx = cam._resolve_target(model, cfg)
+    g = kernels_ref.score_grad_reference(model, cache, idx, class_index, cfg.score_kind)
+    if method == "gradcam":
+        return g.mean(axis=(1, 2)), cache, idx
+    hess = cam.hessian_diag(model, x, class_index, idx, cfg, cache)
+    return (hess + 2.0 * g).mean(axis=(1, 2)), cache, idx
+
+
+def _rows_cases():
+    for hw, seed in (((16, 16), 31), ((16, 16), 32), ((128, 128), 33)):
+        m = nn.build_model(nn.preset("vgg-nano", input_hw=hw), seed)
+        x = np.random.default_rng(seed).random((1,) + hw)
+        for target_layer in (None, 0):
+            for c in range(3):
+                yield m, x, target_layer, c
+
+
+def test_logit_rows_give_reference_bytes():
+    for m, x, target_layer, c in _rows_cases():
+        cfg = cam.CamConfig(target_layer=target_layer)
+        cache = cam.capture(m, x)
+        for method, fn in (("gradcam", cam.gradcam), ("gradcam_pp", cam.gradcam_pp)):
+            weights, heat = fn(m, x, c, cfg, cache=cache)
+            alpha, ref_cache, idx = _reference_alpha(m, x, c, cfg, method)
+            _, ref_heat = cam._combine(m, ref_cache, idx, alpha, c, method)
+            assert weights.alpha.tobytes() == alpha.tobytes()
+            assert heat.raw.tobytes() == ref_heat.raw.tobytes()
+            assert heat.normalized.tobytes() == ref_heat.normalized.tobytes()
+
+
+@pytest.mark.parametrize("score_kind", ["exp_logit", "probability"])
+def test_combined_rows_match_reference_backward(score_kind):
+    # a combination of rows rounds differently from one backward of the
+    # combined upstream.  Over 336 vgg-nano cases per method and score kind
+    # (16x16, 32x32 and 128x128, both target layers, every class) the worst
+    # gap was 3.4e-15 in alpha, relative to its largest entry, and 1.4e-14
+    # in the normalized heatmap
+    for m, x, target_layer, c in _rows_cases():
+        cfg = cam.CamConfig(target_layer=target_layer, score_kind=score_kind)
+        cache = cam.capture(m, x)
+        for method, fn in (("gradcam", cam.gradcam), ("gradcam_pp", cam.gradcam_pp)):
+            weights, heat = fn(m, x, c, cfg, cache=cache)
+            alpha, ref_cache, idx = _reference_alpha(m, x, c, cfg, method)
+            _, ref_heat = cam._combine(m, ref_cache, idx, alpha, c, method)
+            assert np.abs(weights.alpha - alpha).max() <= 1e-13 * np.abs(alpha).max()
+            assert np.abs(heat.normalized - ref_heat.normalized).max() <= 1e-13
+
+
+def test_logit_rows_are_memoised_read_only(monkeypatch):
+    m, x = _vgg_nano_16()
+    cache = cam.capture(m, x)
+    calls = []
+    backward = nn.backward
+    monkeypatch.setattr(nn, "backward", lambda *a, **k: calls.append(1) or backward(*a, **k))
+    g = cam.grad_wrt_activations(m, x, 1, cache=cache)
+    assert cam.grad_wrt_activations(m, x, 1, cache=cache) is g
+    cam.gradcam_pp(m, x, 1, cam.CamConfig(score_kind="exp_logit"), cache=cache)
+    assert len(calls) == 1
+    idx = nn.deepest_conv_index(m.spec)
+    assert list(cache.logit_rows) == [(idx, 1)]
+    with pytest.raises(ValueError):
+        g[0, 0, 0] = 1.0
+    cam.hessian_diag(m, x, 1, 0, cam.CamConfig(score_kind="probability"), cache)
+    assert len(calls) == 4  # target 0 is another layer: three rows of its own
+    for row in cache.logit_rows.values():
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row *= 2.0
+
+
 def test_target_layer_must_be_conv():
     m = _linear_map_model(1, np.ones((4, 1)))
     with pytest.raises(BuildError):

@@ -1,6 +1,9 @@
 """CLI subcommand flows on a tiny corpus, plus exit-code contracts."""
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,10 @@ BAD_INPUTS = [
     (["train", "--data", "{comma}", "--out", "{root}/comma_run"], 2,
      "class name '1_rect,square' holds ',', ';' or a line break, which the "
      "weight file header uses as separators"),
+    (EXPLAIN[:-1] + ["--class-index", "7"], 2,
+     "class index 7 is out of range for 3 classes; valid: 0..2"),
+    (EXPLAIN[:-1] + ["--class-index", "-1"], 2,
+     "class index -1 is out of range for 3 classes; valid: 0..2"),
 ]
 
 
@@ -223,23 +230,82 @@ def test_bad_input_one_error_line(explain_inputs, capsys, argv, code, message):
         f"error: {message.format(**explain_inputs)}"]
 
 
+def _count_calls(monkeypatch, *names):
+    """Counts of calls to each (module, name) from here on."""
+    calls = {name: 0 for _, name in names}
+    for module, name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _manifest(out_dir):
+    with open(os.path.join(out_dir, "run.txt")) as f:
+        return dict(line.split("=", 1) for line in f.read().splitlines())
+
+
 def test_explain_both_runs_one_forward_and_no_conv_backward(explain_inputs,
                                                             monkeypatch):
-    calls = {"forward": 0, "conv2d_backward_nhwc": 0, "backward": 0}
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-    count(nn, "forward")
-    count(nn, "backward")
-    count(ops, "conv2d_backward_nhwc")
+    calls = _count_calls(monkeypatch, (nn, "forward"), (nn, "backward"),
+                         (ops, "conv2d_backward_nhwc"))
     argv = EXPLAIN[:-1] + ["--method", "both"]
     assert run_cli([a.format(**explain_inputs) for a in argv]) == 0
-    assert calls == {"forward": 1, "conv2d_backward_nhwc": 0, "backward": 2}
+    # Grad-CAM and Grad-CAM++ share the one logit row J_c
+    assert calls == {"forward": 1, "conv2d_backward_nhwc": 0, "backward": 1}
+
+
+@pytest.mark.parametrize("score_kind,backwards", [("exp_logit", 1), ("probability", 3)])
+def test_explain_gradcam_pp_backward_count(explain_inputs, monkeypatch, score_kind,
+                                           backwards):
+    # exp_logit needs J_c, probability one row per class (K = 3); the
+    # gradient term reuses the Hessian's rows
+    calls = _count_calls(monkeypatch, (nn, "forward"), (nn, "backward"))
+    argv = EXPLAIN + [f"cam.score_kind={score_kind}", "--method", "gradcam_pp"]
+    assert run_cli([a.format(**explain_inputs) for a in argv]) == 0
+    assert calls == {"forward": 1, "backward": backwards}
+    manifest = _manifest(os.path.join(explain_inputs["root"], "out"))
+    assert manifest["backward_passes"] == str(backwards)
+    assert float(manifest["elapsed_s"]) > 0
+
+
+def test_cached_parser_dispatches_to_the_current_command(explain_inputs, monkeypatch):
+    argv = [a.format(**explain_inputs) for a in EXPLAIN[:-1]]
+    assert run_cli(argv) == 0  # the parser is built by now
+    seen = []
+    monkeypatch.setattr(cli, "cmd_explain", seen.append)
+    assert run_cli(argv + ["--class-index", "2"]) == 0
+    assert len(seen) == 1 and seen[0].class_index == 2
+
+
+def test_consecutive_calls_share_no_option_state(explain_inputs):
+    base = [a.format(**explain_inputs) for a in EXPLAIN[:-3]]
+    root = explain_inputs["root"]
+    outs = [os.path.join(root, f"state{i}") for i in range(3)]
+    assert run_cli(base + ["--out", outs[0]]) == 0
+    assert run_cli(base + ["--out", outs[1], "--class-index", "2",
+                           "--set", "cam.target_layer=0",
+                           "--set", "cam.score_kind=exp_logit"]) == 0
+    assert run_cli(base + ["--out", outs[2]]) == 0
+    first, other, last = (_manifest(d) for d in outs)
+    assert (other["class"], other["cam.target_layer"], other["cam.score_kind"]) == (
+        "tumor", "0", "exp_logit")
+    for key in ("class", "cam.target_layer", "cam.score_kind", "backward_passes"):
+        assert last[key] == first[key], key
+    assert first["cam.target_layer"] == "None" and first["cam.score_kind"] == "logit"
+
+
+def test_traced_explain_benchmark_sees_the_explain_command():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "explain",
+         "--seed", "5", "--seconds", "0.3", "--trace", "1", "--tiny"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "lacks" not in proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    assert metrics["cli.explain.self_ms"]["value"] > 0
 
 
 def test_train_ppm_corpus_builds_rgb_preset(tmp_path):
