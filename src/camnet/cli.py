@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import platform
 import sys
 import time
 
@@ -24,7 +25,7 @@ from . import gradcheck as gradchecklib
 from . import metrics as metricslib
 from . import model as nn
 from . import optim
-from .errors import BuildError, CamnetError, ConfigError, ShapeError
+from .errors import BuildError, CamnetError, ConfigError, DataError, ShapeError
 from .tuning import keep_malloc_pages
 
 SECTIONS = {
@@ -108,6 +109,21 @@ def write_run_manifest(out_dir, configs, extras):
         lines.append(f"{k}={v}")
     with open(os.path.join(out_dir, "run.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def environment() -> dict:
+    """run.txt entries naming what computed a run's artifacts: the Python,
+    numpy and BLAS versions, the CPU count and the BLAS thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        blas = "unknown"
+    return {
+        "python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+        "cpu_count": os.cpu_count(),
+        **{v: os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +218,7 @@ def cmd_train(args):
         "command": "train", "data": args.data, "manifest": manifest_path,
         "model_spec": spec.canonical(), "weights": weight_path,
         "train_report": report_path, "compute_dtype": optim.COMPUTE_DTYPE.name,
+        **environment(),
     })
     last = report.rows[-1]
     print(f"trained {tc.epochs} epochs: train_acc={last.train_acc:.4f} "
@@ -209,17 +226,23 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    start = time.perf_counter()
     model = nn.load_weights(None, args.weights)
-    ds = datalib.load_directory(args.data)
+    # every file is decoded, so a bad one fails as in load_directory, but
+    # only the test rows are normalized and scored
+    ds = datalib.list_directory(args.data)
+    ds.images = [datalib.read_image(p) for p in ds.paths]
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
     manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
-    ds.image_shape()  # a DataError naming the first image of another shape
+    _check_corpus_fits(model, ds, args)
+    if not manifest.test:
+        raise DataError(f"manifest {manifest_path} has no test rows; nothing to evaluate")
     test_set = ds.subset(manifest.test)
 
     preds = []
     for img in test_set.images:
-        probs = nn.forward(model, np.moveaxis(img, -1, 0)[None])
-        preds.append(int(probs.argmax()))
+        x = np.moveaxis(datalib.minmax_normalize(img), -1, 0)[None]
+        preds.append(int(nn.forward(model, x).argmax()))
     cm = metricslib.confusion(preds, test_set.labels, len(ds.class_names),
                               ds.class_names)
     rep = metricslib.report(cm)
@@ -233,9 +256,27 @@ def cmd_eval(args):
         f.write(rep.to_csv())
     write_run_manifest(args.out, {}, {
         "command": "eval", "data": args.data, "weights": args.weights,
-        "manifest": manifest_path, "out": args.out,
+        "manifest": manifest_path, "out": args.out, "images_scored": len(preds),
+        "elapsed_s": f"{time.perf_counter() - start:.3f}", **environment(),
     })
     print(rep.to_table(), end="")
+
+
+def _check_corpus_fits(model, ds, args):
+    """A DataError or ShapeError naming both sides when the corpus has
+    images of more than one shape, or another class count or image shape
+    than the model."""
+    h, w, c = ds.image_shape()
+    names = model.spec.class_names
+    if len(ds.class_names) != len(names):
+        raise DataError(
+            f"corpus {args.data} has {len(ds.class_names)} classes "
+            f"({', '.join(ds.class_names)}), but the model {args.weights} has "
+            f"{len(names)} ({', '.join(names)})")
+    mc, mh, mw = model.spec.input_shape
+    if (h, w, c) != (mh, mw, mc):
+        raise ShapeError(f"corpus {args.data} has {h}x{w}x{c} images, but the model "
+                         f"{args.weights} takes {mh}x{mw}x{mc}")
 
 
 def cmd_explain(args):
@@ -281,7 +322,7 @@ def cmd_explain(args):
         "command": "explain", "weights": args.weights, "image": args.image,
         "class": class_name, "files": ";".join(written),
         "backward_passes": len(cache.logit_rows),
-        "elapsed_s": f"{time.perf_counter() - start:.3f}",
+        "elapsed_s": f"{time.perf_counter() - start:.3f}", **environment(),
     })
     print(f"predicted {class_name} (p={probs[class_index]:.4f}); "
           f"wrote {len(written)} files")

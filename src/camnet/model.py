@@ -103,7 +103,9 @@ class Conv(_Layer):
         return wshape, math.prod(wshape[1:])
 
     def forward(self, x, p, i, cache, drop_rng):
-        if cache is None:
+        if cache is None or drop_rng is None:
+            # only a train-mode capture keeps its patch matrices: its paired
+            # backward computes every parameter gradient
             return ops.conv2d_nhwc(x, p["weights"], p["bias"], self.stride, self.pad)
         x, cache.conv_cols[i] = ops.conv2d_nhwc(
             x, p["weights"], p["bias"], self.stride, self.pad, return_cols=True)
@@ -330,10 +332,13 @@ class ForwardCache:
     layout); use Model.activation_nchw / Gradients.activation_nchw for
     the public (N,C,H,W) view.  dropout_masks[i] holds the (already
     1/(1-rate)-scaled) mask used by Dropout layer i during a train-mode
-    pass.  conv_cols[i] keeps the im2col patch matrix of Conv layer i so
-    backward can reuse it instead of rebuilding it.  logit_rows[(i, k)]
-    memoises the saliency code's read-only gradient of logit k at layer
-    i's output, so each such backward runs once per capture.
+    pass.  conv_cols[i] keeps the im2col patch matrix of Conv layer i
+    from a train-mode capture, so backward can reuse it instead of
+    rebuilding it; an eval-mode capture keeps none, and a backward that
+    computes parameter gradients on it rebuilds each matrix.
+    logit_rows[(i, k)] memoises the saliency code's read-only gradient of
+    logit k at layer i's output, so each such backward runs once per
+    capture.
     """
 
     activations: list

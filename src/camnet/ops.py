@@ -12,15 +12,22 @@ im2col patch gather contiguous and is what makes a pure-numpy training
 loop fast enough.  The `*_nhwc` variants are the core implementations;
 the public NCHW functions are thin layout adapters around them.
 
-`conv2d` is im2col + matmul, bit-deterministic run to run.  A conv's
-input gradient is computed one image at a time, from an im2col of that
-image's grad_out over exactly the input positions; a strided conv's
-grad_out is first zero-inserted onto the stride-1 output grid.  The
-max-pool backward routes each window's gradient to the first position
-equal to the pooled output, which the model passes from its forward
-cache, so it recomputes no argmax.  Both it and the ReLU backward multiply
-grad_out's bit pattern (int32 or int64, by dtype) by a 0/1 mask, which
-keeps every value exactly and writes +0.0 elsewhere.
+`conv2d` is im2col + matmul, bit-deterministic run to run.  A float64
+forward that keeps no patch matrix (eval, explain) never builds the
+whole one: per image it lowers a band of output rows at a time into one
+cache-sized buffer (CONV_BAND_BYTES) and multiplies it straight into the
+output, with the bytes of the whole-batch matmul at the preset channel
+counts (see tests/kernels_ref.py).  Training's forward,
+which keeps its patch matrix for the backward, and every float32
+forward, whose bands would round differently, stay one whole-batch
+matmul.  A conv's input gradient is computed one image at a time, from
+an im2col of that image's grad_out over exactly the input positions; a
+strided conv's grad_out is first zero-inserted onto the stride-1 output
+grid.  The max-pool backward routes each window's gradient to the first
+position equal to the pooled output, which the model passes from its
+forward cache, so it recomputes no argmax.  Both it and the ReLU
+backward multiply grad_out's bit pattern (int32 or int64, by dtype) by a
+0/1 mask, which keeps every value exactly and writes +0.0 elsewhere.
 `finite_diff_grad` is the independent oracle every backward rule is
 verified against; `tests/kernels_ref.py` holds a naive-loop conv, which
 the fast conv must match to BLAS rounding, and plainer versions of the
@@ -33,6 +40,11 @@ from .errors import ShapeError
 
 
 _BITS = {np.dtype(np.float32): np.int32, np.dtype(np.float64): np.int64}
+
+# The patch bytes an inference conv lowers at a time: a band this size and
+# its output stay in cache between the copy and the matmul.  Chosen by a
+# sweep of 128 KiB to 2 MiB over a 128x128 vgg-nano eval forward.
+CONV_BAND_BYTES = 256 * 1024
 
 
 def _as_float(x) -> np.ndarray:
@@ -89,22 +101,36 @@ def _check_conv_nhwc(x, weights, bias, stride, pad):
 
 
 def _pad_nhwc(x, pad):
+    """x zero-padded by `pad` on both sides of H and W: np.pad's bytes
+    without its per-call argument handling, which at batch 1 costs about
+    as much as the copy itself."""
     if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    n, h, w, c = x.shape
+    xp = np.empty((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, :pad] = xp[:, pad + h:] = 0
+    xp[:, pad:pad + h, :pad] = xp[:, pad:pad + h, pad + w:] = 0
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp
 
 
-def _im2col_nhwc(xp, kh, kw, stride, oh, ow):
-    """Patches of a channels-last padded input as (N*oh*ow, kh*kw*C)."""
+def _patch_view(xp, kh, kw, stride, oh, ow):
+    """The patches of a channels-last padded input as a read-only strided
+    view (N, oh, ow, kh, kw, C): no copy."""
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp,
         shape=(n, oh, ow, kh, kw, c),
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return view.reshape(n * oh * ow, kh * kw * c)
+
+
+def _im2col_nhwc(xp, kh, kw, stride, oh, ow):
+    """Patches of a channels-last padded input as (N*oh*ow, kh*kw*C)."""
+    n, c = xp.shape[0], xp.shape[3]
+    return _patch_view(xp, kh, kw, stride, oh, ow).reshape(n * oh * ow, kh * kw * c)
 
 
 def _weights_cols(weights):
@@ -117,16 +143,51 @@ def conv2d_nhwc(x, weights, bias, stride: int = 1, pad: int = 0,
     """Cross-correlation on (N,H,W,C) input; weights stay (O,C,kh,kw).
 
     With return_cols, also hands back the im2col patch matrix so a paired
-    backward pass can skip rebuilding it.
+    backward pass can skip rebuilding it.  A float64 call without it
+    lowers each image's patches in bands (see _conv2d_banded) when they
+    fill two bands of CONV_BAND_BYTES or more.
     """
     oh, ow = _check_conv_nhwc(x, weights, bias, stride, pad)
     n = x.shape[0]
     o, _, kh, kw = weights.shape
-    cols = _im2col_nhwc(_pad_nhwc(x, pad), kh, kw, stride, oh, ow)
-    out = cols @ _weights_cols(weights)
+    xp, w_cols = _pad_nhwc(x, pad), _weights_cols(weights)
+    if not return_cols and x.dtype == np.float64:
+        # output rows per band, which holds at least two output positions
+        rows = max(CONV_BAND_BYTES // (x.itemsize * ow * w_cols.shape[0]), 2 // ow, 1)
+        if oh >= 2 * rows:
+            return _conv2d_banded(xp, w_cols, bias, kh, kw, stride, oh, ow, rows)
+    cols = _im2col_nhwc(xp, kh, kw, stride, oh, ow)
+    out = cols @ w_cols
     out += bias
     out = out.reshape(n, oh, ow, o)
     return (out, cols) if return_cols else out
+
+
+def _conv2d_banded(xp, w_cols, bias, kh, kw, stride, oh, ow, rows):
+    """conv2d_nhwc one band of `rows` to 2*rows-1 output rows at a time,
+    per image.
+
+    Each band's patches are copied from the strided view into one reused
+    buffer of about CONV_BAND_BYTES, which stays in cache for the matmul
+    that writes the band's slice of the output.  A band holds at least
+    two output positions: a one-row matmul takes BLAS's GEMV path, whose
+    rounding differs from the whole-batch GEMM's.
+    """
+    n, c = xp.shape[0], xp.shape[3]
+    k, o = w_cols.shape
+    view = _patch_view(xp, kh, kw, stride, oh, ow)
+    bands = oh // rows
+    edges = [oh * i // bands for i in range(bands + 1)]
+    buf = np.empty((-(-oh // bands), ow, kh, kw, c), dtype=xp.dtype)
+    out = np.empty((n, oh, ow, o), dtype=xp.dtype)
+    for b in range(n):
+        for r0, r1 in zip(edges, edges[1:]):
+            band = buf[:r1 - r0]
+            band[...] = view[b, r0:r1]
+            dst = out[b, r0:r1].reshape(-1, o)
+            np.matmul(band.reshape(-1, k), w_cols, out=dst)
+            dst += bias
+    return out
 
 
 def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True,

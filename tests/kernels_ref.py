@@ -3,7 +3,7 @@
 `conv2d_reference` is the naive-loop definition of `ops.conv2d`; the
 fast path must agree with it to BLAS rounding.
 
-The others are earlier, plainer formulations of four `camnet.ops`
+The others are earlier, plainer formulations of five `camnet.ops`
 kernels. The library's versions do less work but must give the same
 bytes, so the tests compare them with `tobytes()`, not with a tolerance:
 
@@ -12,12 +12,17 @@ bytes, so the tests compare them with `tobytes()`, not with a tolerance:
   windows, then `put_along_axis` into zeros;
 - `relu_backward`: `np.where`;
 - `conv_input_grad_stride1`: one im2col of the whole batch's grad_out,
-  padded by k-1 per side, over the padded input positions, then a crop.
+  padded by k-1 per side, over the padded input positions, then a crop;
+- `conv2d_nhwc_reference`: the whole batch's patch matrix times the
+  weights in one matmul, which `ops.conv2d_nhwc` still runs for float32,
+  for a call that keeps its patch matrix and for small images, and
+  lowers in bands otherwise.
 
-The conv reference matches the per-image version byte for byte only
-where BLAS row results do not depend on the number of rows. That holds
-for OpenBLAS at the channel counts of the presets (8, 16 and 32), not at
-every shape: 2-4 columns, or a single row, take other code paths.
+The two conv references match the library's per-image and banded
+versions byte for byte only where BLAS row results do not depend on the
+number of rows. That holds for OpenBLAS at the channel counts of the
+presets (8, 16 and 32), not at every shape: 2-4 columns, or a single
+row, take other code paths.
 
 `rotate_bilinear_reference` is `data.rotate_bilinear` before its cached
 resampling plan. The library's version must give its bytes and dtype.
@@ -98,6 +103,17 @@ def conv_input_grad_stride1(weights, pad, grad_out, x_shape):
     grad_xp = (gcols @ w2).reshape(n, h + 2 * pad, w + 2 * pad, c)
     return grad_xp if pad == 0 else np.ascontiguousarray(
         grad_xp[:, pad:-pad, pad:-pad, :])
+
+
+def conv2d_nhwc_reference(x, weights, bias, stride: int = 1, pad: int = 0):
+    """Same signature as ops.conv2d_nhwc without return_cols."""
+    n = x.shape[0]
+    o, _, kh, kw = weights.shape
+    oh, ow = ops.conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride, pad)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out = ops._im2col_nhwc(xp, kh, kw, stride, oh, ow) @ ops._weights_cols(weights)
+    out += bias
+    return out.reshape(n, oh, ow, o)
 
 
 def rotate_bilinear_reference(img, degrees: float, fill: float = 0.0):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -56,6 +57,7 @@ def test_train_eval_explain(corpus):
     assert "train.epochs=2" in manifest
     assert "train.seed=5" in manifest
     assert "compute_dtype=float32" in manifest.splitlines()
+    assert f"numpy={np.__version__}" in manifest.splitlines()
 
     ev = str(root / "eval")
     assert run_cli(["eval", "--data", d, "--weights",
@@ -113,7 +115,9 @@ def explain_inputs(tmp_path_factory):
     split.csv went stale when an image was deleted, a good 16x16 corpus,
     a 16x16 corpus with one 20x20 image, a 100-byte CAMF file whose header
     declares a Dense layer of 10^11 units, a corpus with a class
-    directory named with a comma, and a 16x16 RGB image."""
+    directory named with a comma, a 16x16 RGB image, and corpora with 2
+    or 4 classes or with 8x8 images.  The good corpus, like every corpus
+    here made of 4 images per class, has an empty test split."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
@@ -152,9 +156,19 @@ def explain_inputs(tmp_path_factory):
     assert run_cli(["synth", "--out", comma, "--n", "4", "--size", "16"]) == 0
     os.rename(os.path.join(comma, "1_rect"), os.path.join(comma, "1_rect,square"))
     assert run_cli(["split", "--data", comma]) == 0
+    corpora = {}
+    for name, size in (("two", 16), ("four", 16), ("small", 8)):
+        corpora[name] = str(root / name)
+        assert run_cli(["synth", "--out", corpora[name], "--n", "4",
+                        "--size", str(size)]) == 0
+    shutil.rmtree(os.path.join(corpora["two"], "2_cross"))
+    shutil.copytree(os.path.join(corpora["four"], "2_cross"),
+                    os.path.join(corpora["four"], "3_more"))
+    for d in corpora.values():
+        assert run_cli(["split", "--data", d]) == 0
     return {"root": str(root), "weights": weights, "image": image,
             "headerless": str(headerless), "binary": str(binary), "stale": stale,
-            "good": good, "mixed": mixed, "comma": comma}
+            "good": good, "mixed": mixed, "comma": comma, **corpora}
 
 
 EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
@@ -219,6 +233,20 @@ BAD_INPUTS = [
      "class index 7 is out of range for 3 classes; valid: 0..2"),
     (EXPLAIN[:-1] + ["--class-index", "-1"], 2,
      "class index -1 is out of range for 3 classes; valid: 0..2"),
+    (["eval", "--data", "{good}", "--weights", "{weights}",
+      "--out", "{root}/good_eval"], 2,
+     "manifest {good}/split.csv has no test rows; nothing to evaluate"),
+    (["eval", "--data", "{four}", "--weights", "{weights}",
+      "--out", "{root}/four_eval"], 2,
+     "corpus {four} has 4 classes (0_disk, 1_rect, 2_cross, 3_more), but the model "
+     "{weights} has 3 (glioma, menin, tumor)"),
+    (["eval", "--data", "{two}", "--weights", "{weights}",
+      "--out", "{root}/two_eval"], 2,
+     "corpus {two} has 2 classes (0_disk, 1_rect), but the model {weights} has 3 "
+     "(glioma, menin, tumor)"),
+    (["eval", "--data", "{small}", "--weights", "{weights}",
+      "--out", "{root}/small_eval"], 2,
+     "corpus {small} has 8x8x1 images, but the model {weights} takes 16x16x1"),
 ]
 
 
@@ -268,6 +296,28 @@ def test_explain_gradcam_pp_backward_count(explain_inputs, monkeypatch, score_ki
     manifest = _manifest(os.path.join(explain_inputs["root"], "out"))
     assert manifest["backward_passes"] == str(backwards)
     assert float(manifest["elapsed_s"]) > 0
+    assert all(key in manifest for key in ENVIRONMENT)
+
+
+ENVIRONMENT = ("python", "numpy", "blas", "cpu_count", "OPENBLAS_NUM_THREADS",
+               "OMP_NUM_THREADS")
+
+
+def test_eval_normalizes_and_scores_only_the_test_rows(corpus, explain_inputs,
+                                                        monkeypatch, tmp_path):
+    _, d = corpus
+    n_test = len(data.SplitManifest.read_csv(os.path.join(d, "split.csv")).test)
+    calls = _count_calls(monkeypatch, (data, "read_image"), (data, "minmax_normalize"),
+                         (nn, "forward"))
+    out = str(tmp_path / "eval")
+    assert run_cli(["eval", "--data", d, "--weights", explain_inputs["weights"],
+                    "--out", out]) == 0
+    # every file is decoded, so a bad one is still found
+    assert calls == {"read_image": 30, "minmax_normalize": n_test, "forward": n_test}
+    manifest = _manifest(out)
+    assert manifest["images_scored"] == str(n_test)
+    assert float(manifest["elapsed_s"]) > 0
+    assert all(key in manifest for key in ENVIRONMENT)
 
 
 def test_cached_parser_dispatches_to_the_current_command(explain_inputs, monkeypatch):
@@ -306,6 +356,18 @@ def test_traced_explain_benchmark_sees_the_explain_command():
     assert "lacks" not in proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
     assert metrics["cli.explain.self_ms"]["value"] > 0
+
+
+def test_traced_train_benchmark_sees_the_eval_command():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "train",
+         "--seed", "5", "--seconds", "0.3", "--trace", "1", "--tiny"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "lacks" not in proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    assert metrics["cli.eval.self_ms"]["value"] > 0
 
 
 def test_train_ppm_corpus_builds_rgb_preset(tmp_path):

@@ -257,6 +257,40 @@ def test_training_backward_matches_reference_kernels(monkeypatch):
             assert pa[name].tobytes() == pb[name].tobytes(), (i, name)
 
 
+def test_eval_forward_gives_unbanded_probability_bytes(monkeypatch):
+    """A 128x128 vgg-nano eval forward, whose convs run banded, gives the
+    probabilities of whole-batch patch matrices."""
+    m = nn.build_model(nn.preset("vgg-nano"), 4)
+    x = np.random.default_rng(11).random((2, 1, 128, 128))
+    fast = [nn.forward(m, x[i:i + 1]) for i in range(2)]
+    monkeypatch.setattr(ops, "conv2d_nhwc", kernels_ref.conv2d_nhwc_reference)
+    for i in range(2):
+        assert fast[i].tobytes() == nn.forward(m, x[i:i + 1]).tobytes(), i
+
+
+def test_eval_capture_keeps_no_patch_matrices(monkeypatch):
+    """Parameter gradients on an eval-mode capture, which rebuilds each
+    patch matrix, equal those from kept matrices byte for byte."""
+    monkeypatch.setattr(ops, "CONV_BAND_BYTES", 1)  # band even a 16x16 conv
+    m = nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 2)
+    x = np.random.default_rng(12).random((2, 1, 16, 16))
+    upstream = np.random.default_rng(13).standard_normal((2, 3))
+    nn.forward(m, x, capture=True)
+    cache = m.cache
+    assert cache.conv_cols == {}
+    rebuilt = nn.backward(m, upstream)
+
+    for i, layer in enumerate(m.spec.layers):
+        if isinstance(layer, nn.Conv):
+            p = m.params[i]
+            _, cache.conv_cols[i] = ops.conv2d_nhwc(
+                cache.activations[i], p["weights"], p["bias"], layer.stride, layer.pad,
+                return_cols=True)
+    kept = nn.backward(m, upstream, cache=cache)
+    for li, name, _ in m.param_items():
+        assert rebuilt.params[li][name].tobytes() == kept.params[li][name].tobytes()
+
+
 def test_forward_from_matches_forward():
     m = nn.build_model(TOY, 4)
     x = np.random.default_rng(3).random((1, 1, 8, 8))

@@ -111,6 +111,22 @@ def test_conv_input_grad_matches_reference_bytes_float32(n, pad, c, o):
     _check_conv_input_grad_bytes(n, pad, c, o, np.float32)
 
 
+def test_conv_bands_only_float64_calls_that_keep_no_patch_matrix(monkeypatch):
+    calls = []
+    banded = ops._conv2d_banded
+    monkeypatch.setattr(ops, "_conv2d_banded", lambda *a: calls.append(a) or banded(*a))
+    r = np.random.default_rng(7)
+    # the 8->8 conv of a 128x128 vgg-nano: a 9.4 MB patch matrix per image
+    x, w, b = r.random((1, 128, 128, 8)), r.standard_normal((8, 8, 3, 3)), r.random(8)
+    out = ops.conv2d_nhwc(x, w, b, 1, 1)
+    assert len(calls) == 1 and out.flags.c_contiguous
+    assert out.tobytes() == kernels_ref.conv2d_nhwc_reference(x, w, b, 1, 1).tobytes()
+    ops.conv2d_nhwc(x, w, b, 1, 1, return_cols=True)
+    ops.conv2d_nhwc(*(a.astype(np.float32) for a in (x, w, b)), 1, 1)
+    ops.conv2d_nhwc(x[:, :8, :8], w, b, 1, 1)  # its patch matrix fits in one band
+    assert len(calls) == 1
+
+
 def _check_conv_input_grad_bytes(n, pad, c, o, dtype):
     r = np.random.default_rng(100 * pad + c + o)
     x = r.standard_normal((n, 10, 8, c)).astype(dtype)

@@ -1,17 +1,19 @@
 """Property tests: the spec grammar round-trips, malformed spec text,
 weight files and Netpbm bytes end in a CamnetError, never another
-exception, and the cached-plan rotation gives its reference's bytes.
+exception, and the cached-plan rotation and the banded conv give their
+references' bytes.
 Derandomized, so every run checks the same examples."""
 
 import re
+from unittest import mock
 
 import hypothesis.strategies as st
 import kernels_ref
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from camnet import data, model as nn
+from camnet import data, model as nn, ops
 from camnet.errors import BuildError, CamnetError
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -108,4 +110,26 @@ def test_rotation_gives_reference_bytes(h, w, c, degrees, fill, dtype, seed):
     want = kernels_ref.rotate_bilinear_reference(img, degrees, fill)
     got = data.rotate_bilinear(img, degrees, fill)
     assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+_conv_hw = st.one_of(st.sampled_from([(1, 1), (1, 17), (17, 1)]),
+                     st.tuples(st.integers(1, 20), st.integers(1, 20)))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.sampled_from([1, 3, 8, 16]),
+       st.sampled_from([8, 16, 32]),  # preset widths; see kernels_ref
+       st.integers(1, 3), st.integers(1, 2), st.integers(0, 2), _conv_hw,
+       st.sampled_from([1, 700, 5000, ops.CONV_BAND_BYTES]), st.integers(0, 2**32 - 1))
+def test_banded_conv_gives_reference_bytes(n, c, o, k, stride, pad, hw, band_bytes,
+                                           seed):
+    h, w = hw
+    assume(h + 2 * pad >= k and w + 2 * pad >= k)
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((n, h, w, c))
+    weights, bias = r.standard_normal((o, c, k, k)), r.standard_normal(o)
+    with mock.patch.object(ops, "CONV_BAND_BYTES", band_bytes):
+        got = ops.conv2d_nhwc(x, weights, bias, stride, pad)
+    want = kernels_ref.conv2d_nhwc_reference(x, weights, bias, stride, pad)
     assert got.tobytes() == want.tobytes()
