@@ -226,10 +226,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    """Score the manifest's test rows; write confusion.csv, metrics.csv and
+    run.txt.
+
+    Every corpus file is decoded, so a bad one fails as in load_directory,
+    but only the test rows are normalized and scored, through
+    model.predict: a per-image conv stack, then one dense head pass per
+    chunk of images.  A corpus whose class count, image shape or class
+    names differ from the model's, and a manifest with no test rows, are
+    typed errors raised before any forward.
+    """
     start = time.perf_counter()
     model = nn.load_weights(None, args.weights)
-    # every file is decoded, so a bad one fails as in load_directory, but
-    # only the test rows are normalized and scored
     ds = datalib.list_directory(args.data)
     ds.images = [datalib.read_image(p) for p in ds.paths]
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
@@ -237,12 +245,17 @@ def cmd_eval(args):
     _check_corpus_fits(model, ds, args)
     if not manifest.test:
         raise DataError(f"manifest {manifest_path} has no test rows; nothing to evaluate")
+    names = model.spec.class_names
+    if tuple(ds.class_names) != names:
+        raise DataError(
+            f"corpus {args.data} has classes ({', '.join(ds.class_names)}), but the "
+            f"model {args.weights} has ({', '.join(names)})")
     test_set = ds.subset(manifest.test)
 
-    preds = []
-    for img in test_set.images:
-        x = np.moveaxis(datalib.minmax_normalize(img), -1, 0)[None]
-        preds.append(int(nn.forward(model, x).argmax()))
+    # normalized one image at a time, as predict consumes them
+    probs = nn.predict(model, (np.moveaxis(datalib.minmax_normalize(img), -1, 0)
+                               for img in test_set.images))
+    preds = probs.argmax(axis=1).tolist()
     cm = metricslib.confusion(preds, test_set.labels, len(ds.class_names),
                               ds.class_names)
     rep = metricslib.report(cm)

@@ -16,6 +16,7 @@ output.  The saliency code runs it stopped above its target layer and
 without parameter gradients, and reads the activation gradients only.
 """
 
+import itertools
 import math
 import os
 import struct
@@ -442,6 +443,44 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
     x = _run(model, x, 0, len(model.spec.layers), cache, drop_rng)
     model.cache = cache
     return x
+
+
+# Images whose flat features `predict` stacks for one pass of the dense
+# head: 8 MiB of features for a 128x128 vgg-nano, whatever the split
+# size.  Chosen by a sweep of 8 to 256 over 60- and 480-image 128x128
+# evals: 32 to 256 were within noise of each other, 8 and 16 slower.
+PREDICT_CHUNK = 64
+
+
+def predict(model: Model, images) -> np.ndarray:
+    """Eval-mode softmax probabilities (N, K) of `images`: an (N,C,H,W)
+    batch, or any iterable of (C,H,W) images, each cast to model.dtype.
+
+    The layers up to and including the first with a flat output (the
+    Flatten) run one image at a time, so the convs, ReLUs and pools work
+    on cache-sized arrays; their features are those of a batch-1
+    `forward`, byte for byte.  The head after it (Dense, ReLU, Dropout as
+    the identity, Softmax) runs once per PREDICT_CHUNK images, so each
+    Dense weight matrix is read once per chunk instead of once per image.
+    Its GEMM rounds differently from a batch-1 forward's GEMV, so the
+    probabilities can differ from `forward`'s in the last bits.
+    """
+    layers = model.spec.layers
+    flat = layers.index(Flatten())
+    expect = tuple(model.spec.input_shape)
+
+    def features(img):
+        x = np.asarray(img, dtype=model.dtype)
+        if x.shape != expect:
+            raise ShapeError(f"image shape {x.shape} does not match {expect}")
+        return _run(model, ops._to_nhwc(x[None]), 0, flat + 1, None, None)
+
+    images = iter(images)
+    probs = [np.empty((0, len(model.spec.class_names)), dtype=model.dtype)]
+    while feats := [features(img) for img in itertools.islice(images, PREDICT_CHUNK)]:
+        probs.append(_run(model, np.concatenate(feats), flat + 1, len(layers),
+                          None, None))
+    return np.concatenate(probs)
 
 
 def _run(model: Model, x: np.ndarray, start: int, stop: int,

@@ -20,7 +20,10 @@ output, with the bytes of the whole-batch matmul at the preset channel
 counts (see tests/kernels_ref.py).  Training's forward,
 which keeps its patch matrix for the backward, and every float32
 forward, whose bands would round differently, stay one whole-batch
-matmul.  A conv's input gradient is computed one image at a time, from
+matmul.  Both paths add the bias as one row of length ow*O, the bias
+repeated ow times, over a (rows, ow*O) view of the output: the same
+adds as a broadcast over (rows*ow, O), in a wider inner loop.  A conv's
+input gradient is computed one image at a time, from
 an im2col of that image's grad_out over exactly the input positions; a
 strided conv's grad_out is first zero-inserted onto the stride-1 output
 grid.  The max-pool backward routes each window's gradient to the first
@@ -100,18 +103,28 @@ def _check_conv_nhwc(x, weights, bias, stride, pad):
     return conv_output_hw(h, w, kh, kw, stride, pad)
 
 
-def _pad_nhwc(x, pad):
-    """x zero-padded by `pad` on both sides of H and W: np.pad's bytes
-    without its per-call argument handling, which at batch 1 costs about
-    as much as the copy itself."""
-    if pad == 0:
+def _pad_nhwc(x, ph, pw):
+    """x zero-padded by `ph` on both sides of H and `pw` on both sides of
+    W: np.pad's bytes without its per-call argument handling, which at
+    batch 1 costs about as much as the copy itself."""
+    if ph == pw == 0:
         return x
     n, h, w, c = x.shape
-    xp = np.empty((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, :pad] = xp[:, pad + h:] = 0
-    xp[:, pad:pad + h, :pad] = xp[:, pad:pad + h, pad + w:] = 0
-    xp[:, pad:pad + h, pad:pad + w] = x
+    xp = np.empty((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[:, :ph] = xp[:, ph + h:] = 0
+    xp[:, ph:ph + h, :pw] = xp[:, ph:ph + h, pw + w:] = 0
+    xp[:, ph:ph + h, pw:pw + w] = x
     return xp
+
+
+def _bias_row(bias, ow):
+    """bias repeated ow times: one row of a conv output viewed as
+    (rows, ow*O).  Added there, it does the same adds as a broadcast of
+    bias over (rows*ow, O), in an ow*O-wide inner loop instead of an
+    O-wide one.  Built by assignment, which costs a third of np.tile."""
+    row = np.empty((ow, bias.shape[0]), dtype=bias.dtype)
+    row[...] = bias
+    return row.reshape(-1)
 
 
 def _patch_view(xp, kh, kw, stride, oh, ow):
@@ -150,15 +163,15 @@ def conv2d_nhwc(x, weights, bias, stride: int = 1, pad: int = 0,
     oh, ow = _check_conv_nhwc(x, weights, bias, stride, pad)
     n = x.shape[0]
     o, _, kh, kw = weights.shape
-    xp, w_cols = _pad_nhwc(x, pad), _weights_cols(weights)
+    xp, w_cols = _pad_nhwc(x, pad, pad), _weights_cols(weights)
     if not return_cols and x.dtype == np.float64:
         # output rows per band, which holds at least two output positions
         rows = max(CONV_BAND_BYTES // (x.itemsize * ow * w_cols.shape[0]), 2 // ow, 1)
         if oh >= 2 * rows:
             return _conv2d_banded(xp, w_cols, bias, kh, kw, stride, oh, ow, rows)
     cols = _im2col_nhwc(xp, kh, kw, stride, oh, ow)
-    out = cols @ w_cols
-    out += bias
+    out = (cols @ w_cols).reshape(n * oh, ow * o)
+    out += _bias_row(bias, ow)
     out = out.reshape(n, oh, ow, o)
     return (out, cols) if return_cols else out
 
@@ -180,13 +193,13 @@ def _conv2d_banded(xp, w_cols, bias, kh, kw, stride, oh, ow, rows):
     edges = [oh * i // bands for i in range(bands + 1)]
     buf = np.empty((-(-oh // bands), ow, kh, kw, c), dtype=xp.dtype)
     out = np.empty((n, oh, ow, o), dtype=xp.dtype)
+    out_rows, row = out.reshape(n, oh, ow * o), _bias_row(bias, ow)
     for b in range(n):
         for r0, r1 in zip(edges, edges[1:]):
             band = buf[:r1 - r0]
             band[...] = view[b, r0:r1]
-            dst = out[b, r0:r1].reshape(-1, o)
-            np.matmul(band.reshape(-1, k), w_cols, out=dst)
-            dst += bias
+            np.matmul(band.reshape(-1, k), w_cols, out=out[b, r0:r1].reshape(-1, o))
+            out_rows[b, r0:r1] += row
     return out
 
 
@@ -211,7 +224,7 @@ def conv2d_backward_nhwc(x, weights, stride, pad, grad_out, need_input_grad=True
     grad_w = grad_b = None
     if need_param_grads:
         if cols is None:
-            cols = _im2col_nhwc(_pad_nhwc(x, pad), kh, kw, stride, oh, ow)
+            cols = _im2col_nhwc(_pad_nhwc(x, pad, pad), kh, kw, stride, oh, ow)
         grad_w = np.ascontiguousarray(
             (cols.T @ g).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
         )
@@ -248,9 +261,7 @@ def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
         weights.transpose(2, 3, 0, 1)[::-1, ::-1]
     ).reshape(kh * kw * o, c)
     qh, qw = kh - 1 - pad, kw - 1 - pad
-    gp = grad_out
-    if qh > 0 or qw > 0:
-        gp = np.pad(gp, ((0, 0), (max(qh, 0),) * 2, (max(qw, 0),) * 2, (0, 0)))
+    gp = _pad_nhwc(grad_out, max(qh, 0), max(qw, 0))
     if qh < 0 or qw < 0:
         ch, cw = max(-qh, 0), max(-qw, 0)
         gp = gp[:, ch:gp.shape[1] - ch, cw:gp.shape[2] - cw]

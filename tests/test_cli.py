@@ -117,7 +117,9 @@ def explain_inputs(tmp_path_factory):
     declares a Dense layer of 10^11 units, a corpus with a class
     directory named with a comma, a 16x16 RGB image, and corpora with 2
     or 4 classes or with 8x8 images.  The good corpus, like every corpus
-    here made of 4 images per class, has an empty test split."""
+    here made of 4 images per class, has an empty test split; the synth
+    corpus of 10 images per class has test rows, and synth's class names,
+    not the weights'."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
@@ -157,9 +159,10 @@ def explain_inputs(tmp_path_factory):
     os.rename(os.path.join(comma, "1_rect"), os.path.join(comma, "1_rect,square"))
     assert run_cli(["split", "--data", comma]) == 0
     corpora = {}
-    for name, size in (("two", 16), ("four", 16), ("small", 8)):
+    for name, n, size in (("two", 4, 16), ("four", 4, 16), ("small", 4, 8),
+                          ("synth", 10, 16)):
         corpora[name] = str(root / name)
-        assert run_cli(["synth", "--out", corpora[name], "--n", "4",
+        assert run_cli(["synth", "--out", corpora[name], "--n", str(n),
                         "--size", str(size)]) == 0
     shutil.rmtree(os.path.join(corpora["two"], "2_cross"))
     shutil.copytree(os.path.join(corpora["four"], "2_cross"),
@@ -247,6 +250,10 @@ BAD_INPUTS = [
     (["eval", "--data", "{small}", "--weights", "{weights}",
       "--out", "{root}/small_eval"], 2,
      "corpus {small} has 8x8x1 images, but the model {weights} takes 16x16x1"),
+    (["eval", "--data", "{synth}", "--weights", "{weights}",
+      "--out", "{root}/synth_eval"], 2,
+     "corpus {synth} has classes (0_disk, 1_rect, 2_cross), but the model "
+     "{weights} has (glioma, menin, tumor)"),
 ]
 
 
@@ -303,17 +310,25 @@ ENVIRONMENT = ("python", "numpy", "blas", "cpu_count", "OPENBLAS_NUM_THREADS",
                "OMP_NUM_THREADS")
 
 
-def test_eval_normalizes_and_scores_only_the_test_rows(corpus, explain_inputs,
-                                                        monkeypatch, tmp_path):
+def test_eval_normalizes_and_scores_only_the_test_rows(corpus, monkeypatch, tmp_path):
     _, d = corpus
     n_test = len(data.SplitManifest.read_csv(os.path.join(d, "split.csv")).test)
+    spec = nn.preset("vgg-nano", data.list_directory(d).class_names, input_hw=(16, 16))
+    weights = str(tmp_path / "model.camf")
+    nn.save_weights(nn.build_model(spec, 0), weights)
     calls = _count_calls(monkeypatch, (data, "read_image"), (data, "minmax_normalize"),
                          (nn, "forward"))
+    runs = []  # (first layer, batch rows) of each pass through the layers
+    run = nn._run
+    monkeypatch.setattr(nn, "_run", lambda m, x, start, *rest:
+                        runs.append((start, x.shape[0])) or run(m, x, start, *rest))
     out = str(tmp_path / "eval")
-    assert run_cli(["eval", "--data", d, "--weights", explain_inputs["weights"],
-                    "--out", out]) == 0
+    assert run_cli(["eval", "--data", d, "--weights", weights, "--out", out]) == 0
     # every file is decoded, so a bad one is still found
-    assert calls == {"read_image": 30, "minmax_normalize": n_test, "forward": n_test}
+    assert calls == {"read_image": 30, "minmax_normalize": n_test, "forward": 0}
+    # one image at a time through the conv stack, one head pass after the Flatten
+    flat = spec.layers.index(nn.Flatten())
+    assert runs == [(0, 1)] * n_test + [(flat + 1, n_test)]
     manifest = _manifest(out)
     assert manifest["images_scored"] == str(n_test)
     assert float(manifest["elapsed_s"]) > 0

@@ -8,6 +8,7 @@ from camnet import model as nn
 from camnet import ops
 from camnet.errors import (
     BuildError,
+    ShapeError,
     SpecMismatchError,
     TruncatedWeightsError,
     WeightMagicError,
@@ -289,6 +290,52 @@ def test_eval_capture_keeps_no_patch_matrices(monkeypatch):
     kept = nn.backward(m, upstream, cache=cache)
     for li, name, _ in m.param_items():
         assert rebuilt.params[li][name].tobytes() == kept.params[li][name].tobytes()
+
+
+_NANO16 = nn.preset("vgg-nano", input_hw=(16, 16))
+
+
+@pytest.mark.parametrize("spec,n", [
+    (nn.preset("vgg-nano"), 3),
+    (nn.preset("vgg-micro"), 2),
+    (TOY, 5),  # Dense straight after the Flatten
+    (_NANO16, 1),
+    (_NANO16, nn.PREDICT_CHUNK + 1),
+], ids=["nano128", "micro128", "toy", "one", "chunk+1"])
+def test_predict_matches_per_image_forward(monkeypatch, spec, n):
+    m = nn.build_model(spec, 5)
+    r = np.random.default_rng(n)
+    for p in m.params:
+        if "bias" in p:
+            p["bias"][...] = 0.1 * r.standard_normal(p["bias"].shape)
+    x = r.random((n,) + spec.input_shape)
+    flat = spec.layers.index(nn.Flatten())
+    heads = []  # the inputs of the head passes
+    run = nn._run
+    monkeypatch.setattr(nn, "_run", lambda m_, x_, start, *rest: (
+        start == flat + 1 and heads.append(x_)) or run(m_, x_, start, *rest))
+    got = nn.predict(m, x)
+    monkeypatch.undo()
+    assert nn.predict(m, iter(x)).tobytes() == got.tobytes()
+
+    want, feats = [], []
+    for i in range(n):
+        want.append(nn.forward(m, x[i:i + 1], capture=True)[0])
+        feats.append(m.cache.activations[flat + 1])
+    assert [len(h) for h in heads] == [min(nn.PREDICT_CHUNK, n - i)
+                                       for i in range(0, n, nn.PREDICT_CHUNK)]
+    assert np.concatenate(heads).tobytes() == np.concatenate(feats).tobytes()
+    want = np.array(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert (got.argmax(axis=1) == want.argmax(axis=1)).all()
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_predict_shape_error_and_no_images():
+    m = nn.build_model(TOY, 0)
+    with pytest.raises(ShapeError, match=r"image shape \(1, 9, 9\) does not match"):
+        nn.predict(m, np.zeros((1, 1, 9, 9)))
+    assert nn.predict(m, []).shape == (0, 3)
 
 
 def test_forward_from_matches_forward():

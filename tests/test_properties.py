@@ -121,15 +121,24 @@ _conv_hw = st.one_of(st.sampled_from([(1, 1), (1, 17), (17, 1)]),
 @given(st.integers(1, 3), st.sampled_from([1, 3, 8, 16]),
        st.sampled_from([8, 16, 32]),  # preset widths; see kernels_ref
        st.integers(1, 3), st.integers(1, 2), st.integers(0, 2), _conv_hw,
-       st.sampled_from([1, 700, 5000, ops.CONV_BAND_BYTES]), st.integers(0, 2**32 - 1))
+       st.sampled_from([1, 700, 5000, ops.CONV_BAND_BYTES]), st.integers(0, 2**32 - 1),
+       st.sampled_from([(np.float64, False), (np.float32, False), (np.float64, True),
+                        (np.float32, True)]))
 def test_banded_conv_gives_reference_bytes(n, c, o, k, stride, pad, hw, band_bytes,
-                                           seed):
+                                           seed, mode):
+    """Banded or whole-batch, with its bias added as a row, the conv gives
+    the bytes of the reference's broadcast bias add."""
     h, w = hw
     assume(h + 2 * pad >= k and w + 2 * pad >= k)
+    dtype, return_cols = mode
     r = np.random.default_rng(seed)
-    x = r.standard_normal((n, h, w, c))
-    weights, bias = r.standard_normal((o, c, k, k)), r.standard_normal(o)
+    x = r.standard_normal((n, h, w, c)).astype(dtype)
+    weights = r.standard_normal((o, c, k, k)).astype(dtype)
+    bias = r.standard_normal(o).astype(dtype)
     with mock.patch.object(ops, "CONV_BAND_BYTES", band_bytes):
-        got = ops.conv2d_nhwc(x, weights, bias, stride, pad)
+        got = ops.conv2d_nhwc(x, weights, bias, stride, pad, return_cols=return_cols)
     want = kernels_ref.conv2d_nhwc_reference(x, weights, bias, stride, pad)
-    assert got.tobytes() == want.tobytes()
+    if return_cols:
+        got, cols = got
+        assert cols.shape == (want.size // o, k * k * c)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
