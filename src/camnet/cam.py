@@ -168,8 +168,7 @@ def _score_grad(model: nn.Model, cache: nn.ForwardCache, idx: int, class_index: 
 
 
 def grad_wrt_activations(model: nn.Model, image, class_index: int,
-                         target_layer: int | None = None,
-                         score_kind: str = "logit",
+                         cfg: CamConfig | None = None,
                          cache: nn.ForwardCache | None = None) -> np.ndarray:
     """dY_c/dA for the target conv layer's output, shape (K, U, V).
 
@@ -177,10 +176,10 @@ def grad_wrt_activations(model: nn.Model, image, class_index: int,
     captures the image itself when cache is None.  For the logit score the
     result is the capture's memoised row J_c, which is read-only.
     """
-    cfg = CamConfig(target_layer=target_layer, score_kind=score_kind)
+    cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
-    return _score_grad(model, cache, idx, class_index, score_kind)
+    return _score_grad(model, cache, idx, class_index, cfg.score_kind)
 
 
 def _combine(model: nn.Model, cache: nn.ForwardCache, idx: int, alpha: np.ndarray,
@@ -200,20 +199,17 @@ def gradcam(model: nn.Model, image, class_index: int,
     cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
-    g = grad_wrt_activations(model, image, class_index, idx, cfg.score_kind, cache)
+    g = grad_wrt_activations(model, image, class_index, cfg, cache)
     return _combine(model, cache, idx, g.mean(axis=(1, 2)), class_index, "gradcam")
 
 
 def hessian_diag(model: nn.Model, image, class_index: int,
-                 target_layer: int | None = None,
                  cfg: CamConfig | None = None,
                  cache: nn.ForwardCache | None = None) -> np.ndarray:
     """Diagonal of d2Y_c/dA^2 at the target layer, shape (K, U, V), by the
     closed form of the module docstring: one logit row per class in the
     support of S, on `cache` or on a capture of `image` when cache is None."""
     cfg = cfg or CamConfig()
-    if target_layer is not None:
-        cfg = CamConfig(target_layer, cfg.score_kind)
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
     s = _score_logit_hessian(_logits(model, cache), class_index, cfg.score_kind)
@@ -228,7 +224,7 @@ def gradcam_pp(model: nn.Model, image, class_index: int,
     cfg = cfg or CamConfig()
     idx = _resolve_target(model, cfg)
     cache = cache or capture(model, image)
-    hess = hessian_diag(model, image, class_index, idx, cfg, cache)
+    hess = hessian_diag(model, image, class_index, cfg, cache)
     g = _score_grad(model, cache, idx, class_index, cfg.score_kind)
     alpha = (hess + 2.0 * g).mean(axis=(1, 2))
     return _combine(model, cache, idx, alpha, class_index, "gradcam_pp")

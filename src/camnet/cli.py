@@ -150,8 +150,12 @@ def cmd_synth(args):
 
 
 def cmd_split(args):
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        raise ConfigError(f"--ratios: expected comma-separated numbers "
+                          f"(train,val,test), got {args.ratios!r}") from None
     ds = datalib.load_directory(args.data)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
     manifest = datalib.stratified_split(ds, ratios, args.seed)
     out = args.out or os.path.join(args.data, "split.csv")
     manifest.write_csv(out, ds)

@@ -103,10 +103,6 @@ def write_image(path, img: np.ndarray) -> None:
         f.write(encode_netpbm(img))
 
 
-def u8_to_f(img: np.ndarray) -> np.ndarray:
-    return img.astype(np.float64) / 255.0
-
-
 def f_to_u8(img: np.ndarray) -> np.ndarray:
     return np.round(255.0 * np.clip(img, 0.0, 1.0)).astype(np.uint8)
 
@@ -265,8 +261,12 @@ def stratified_split(dataset: LabeledDataset, ratios=(0.8, 0.1, 0.1),
 
     For each class (in label order, sharing one seeded stream): shuffle
     the class's indices, take floor(test_ratio * n) for test, the next
-    floor(val_ratio * n) for val, the rest for train.
+    floor(val_ratio * n) for val, the rest for train.  `ratios` is
+    (train, val, test): three numbers in [0, 1] that sum to 1.
     """
+    ratios = tuple(ratios)
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise DataError(f"ratios must be three numbers in [0, 1], got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must sum to 1, got {ratios}")
     k = len(dataset.class_names)
@@ -482,6 +482,8 @@ def synth_dataset(n_per_class: int, image_size: int = 128, seed: int = 0) -> Lab
     """
     if n_per_class < 1:
         raise DataError("n_per_class must be >= 1")
+    if image_size < 1:
+        raise DataError(f"image_size must be >= 1, got {image_size}")
     images, labels = [], []
     for label in range(3):
         for i in range(n_per_class):

@@ -3,7 +3,8 @@
 Used both by the test suite and the `gradcheck` CLI subcommand.  Each
 check compares analytic gradients against central differences (h = 1e-5)
 and must agree to a max relative error of 1e-6 in float64, away from the
-documented non-smooth points (maxpool ties, relu kinks).
+documented non-smooth points (maxpool ties, relu kinks).  The conv and
+pool checks run the channels-last kernels the model itself calls.
 """
 
 from dataclasses import dataclass
@@ -35,22 +36,22 @@ def _rand(rng: Rng, *shape):
 
 def check_conv2d(seed: int = 1) -> CheckResult:
     rng = Rng(seed)
-    x = _rand(rng, 1, 2, 5, 5)
+    x = ops._to_nhwc(_rand(rng, 1, 2, 5, 5))
     w = _rand(rng, 3, 2, 3, 3)
     b = _rand(rng, 3)
     stride, pad = 2, 1
 
     def loss_x(xv):
-        return float(ops.conv2d(xv, w, b, stride, pad).sum())
+        return float(ops.conv2d_nhwc(xv, w, b, stride, pad).sum())
 
     def loss_w(wv):
-        return float(ops.conv2d(x, wv, b, stride, pad).sum())
+        return float(ops.conv2d_nhwc(x, wv, b, stride, pad).sum())
 
     def loss_b(bv):
-        return float(ops.conv2d(x, w, bv, stride, pad).sum())
+        return float(ops.conv2d_nhwc(x, w, bv, stride, pad).sum())
 
-    go = np.ones_like(ops.conv2d(x, w, b, stride, pad))
-    gx, gw, gb = ops.conv2d_backward(x, w, stride, pad, go)
+    go = np.ones_like(ops.conv2d_nhwc(x, w, b, stride, pad))
+    gx, gw, gb = ops.conv2d_backward_nhwc(x, w, stride, pad, go)
     err = max(
         ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x, H)),
         ops.max_rel_error(gw, ops.finite_diff_grad(loss_w, w, H)),
@@ -61,13 +62,13 @@ def check_conv2d(seed: int = 1) -> CheckResult:
 
 def check_maxpool2(seed: int = 2) -> CheckResult:
     rng = Rng(seed)
-    x = _rand(rng, 1, 1, 6, 6)  # continuous draws: ties have probability 0
-    go = _rand(rng, 1, 1, 3, 3)
+    x = ops._to_nhwc(_rand(rng, 1, 1, 6, 6))  # continuous draws: ties have probability 0
+    go = ops._to_nhwc(_rand(rng, 1, 1, 3, 3))
 
     def loss(xv):
-        return float((ops.maxpool2(xv) * go).sum())
+        return float((ops.maxpool2_nhwc(xv) * go).sum())
 
-    gx = ops.maxpool2_backward(x, go)
+    gx = ops.maxpool2_backward_nhwc(x, go)
     return CheckResult("maxpool2", ops.max_rel_error(gx, ops.finite_diff_grad(loss, x, H)))
 
 

@@ -6,13 +6,13 @@ dtype.  A conv or dense input whose dtype differs from the weights' is a
 ShapeError, not a silent upcast.  Training computes in float32 (see
 optim), everything else in float64.
 
-The public image layout is (batch, channels, height, width); internally
-the conv/pool kernels run channels-last (N, H, W, C), which keeps the
-im2col patch gather contiguous and is what makes a pure-numpy training
-loop fast enough.  The `*_nhwc` variants are the core implementations;
-the public NCHW functions are thin layout adapters around them.
+The model's image layout is (batch, channels, height, width), but the
+conv and pool kernels take channels-last (N, H, W, C) arrays, which keeps
+the im2col patch gather contiguous and is what makes a pure-numpy
+training loop fast enough; `_to_nhwc` and `_to_nchw` convert.  There is
+one copy of each kernel, the one the model runs, and no NCHW adapter.
 
-`conv2d` is im2col + matmul, bit-deterministic run to run.  A float64
+`conv2d_nhwc` is im2col + matmul, bit-deterministic run to run.  A float64
 forward that keeps no patch matrix (eval, explain) never builds the
 whole one: per image it lowers a band of output rows at a time into one
 cache-sized buffer (CONV_BAND_BYTES) and multiplies it straight into the
@@ -272,23 +272,8 @@ def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
     return grad_x
 
 
-def conv2d(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlation (no kernel flip) plus bias, (N,C,H,W) layout."""
-    x, weights, bias = _as_float(x), _as_float(weights), _as_float(bias)
-    if x.ndim != 4:
-        raise ShapeError(f"conv input must be 4-d (N,C,H,W), got ndim={x.ndim}")
-    return _to_nchw(conv2d_nhwc(_to_nhwc(x), weights, bias, stride, pad))
 
 
-def conv2d_backward(x, weights, stride, pad, grad_out):
-    """Gradients of a scalar loss w.r.t. conv input, weights, and bias."""
-    x, weights, grad_out = _as_float(x), _as_float(weights), _as_float(grad_out)
-    if grad_out.ndim != 4:
-        raise ShapeError(f"conv grad_out must be 4-d, got ndim={grad_out.ndim}")
-    gx, gw, gb = conv2d_backward_nhwc(
-        _to_nhwc(x), weights, stride, pad, _to_nhwc(grad_out)
-    )
-    return _to_nchw(gx), gw, gb
 
 
 def _windows(x):
@@ -335,15 +320,8 @@ def maxpool2_backward_nhwc(x, grad_out, out=None) -> np.ndarray:
     return grad_x
 
 
-def maxpool2(x) -> np.ndarray:
-    """2x2 max pooling, stride 2, (N,C,H,W) layout."""
-    return _to_nchw(maxpool2_nhwc(_to_nhwc(_as_float(x))))
 
 
-def maxpool2_backward(x, grad_out) -> np.ndarray:
-    """Routes each window's gradient to the first argmax in row-major order."""
-    x, grad_out = _as_float(x), _as_float(grad_out)
-    return _to_nchw(maxpool2_backward_nhwc(_to_nhwc(x), _to_nhwc(grad_out)))
 
 
 def dense(x, weights, bias) -> np.ndarray:

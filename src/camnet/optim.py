@@ -11,6 +11,7 @@ forward, backward and validation pass on a float32 copy of the
 parameters, refreshed from the masters after each step, and
 `optimizer_step` applies the float32 gradients to the float64 masters
 and their optimizer state.  The caller's model stays float64.
+Validation (`evaluate`) scores through `model.predict`, as `eval` does.
 """
 
 import csv
@@ -142,11 +143,6 @@ def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
             raise DataError(f"unknown optimizer {kind!r}")
 
 
-def _to_batch(images, indices):
-    # (H, W, C) images -> (N, C, H, W)
-    return np.stack([np.moveaxis(images[i], -1, 0) for i in indices])
-
-
 def _compute_copy(model: nn.Model) -> nn.Model:
     """The model with COMPUTE_DTYPE copies of its parameters."""
     params = [{k: a.astype(COMPUTE_DTYPE) for k, a in p.items()} for p in model.params]
@@ -160,20 +156,13 @@ def _refresh(work: nn.Model, model: nn.Model) -> None:
         np.copyto(dst, src)
 
 
-def evaluate(model: nn.Model, images, labels, batch_size=32):
-    """Eval-mode loss and accuracy over a dataset."""
-    total_loss = 0.0
-    correct = 0
-    n = len(images)
-    for start in range(0, n, batch_size):
-        idx = range(start, min(start + batch_size, n))
-        x = _to_batch(images, idx)
-        y = [labels[i] for i in idx]
-        probs = nn.forward(model, x)
-        loss, _ = sparse_ce(probs, y)
-        total_loss += loss * len(y)
-        correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
-    return total_loss / n, correct / n
+def evaluate(model: nn.Model, images, labels):
+    """Eval-mode loss and accuracy over a dataset of (H, W, C) images,
+    scored by model.predict with one sparse_ce over all rows."""
+    probs = nn.predict(model, (np.moveaxis(img, -1, 0) for img in images))
+    loss, _ = sparse_ce(probs, labels)
+    correct = (probs.argmax(axis=1) == np.asarray(labels)).sum()
+    return loss, int(correct) / len(images)
 
 
 def train(model: nn.Model, train_set, val_set, config: TrainConfig,
@@ -215,13 +204,11 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
         epoch_correct = 0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
+            imgs = [train_set.images[i] for i in idx]
             if augment is not None:
-                imgs = [augment(train_set.images[i],
-                                Rng(derive_seed(config.seed, epoch, i)))
-                        for i in idx]
-                x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])
-            else:
-                x = _to_batch(train_set.images, idx)
+                imgs = [augment(im, Rng(derive_seed(config.seed, epoch, i)))
+                        for im, i in zip(imgs, idx)]
+            x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])  # (N, C, H, W)
             y = [train_set.labels[i] for i in idx]
 
             probs = nn.forward(work, x, train_mode=True,
@@ -239,8 +226,7 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
             epoch_loss += loss * len(y)
             epoch_correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
 
-        val_loss, val_acc = evaluate(work, val_set.images, val_set.labels,
-                                     config.batch_size)
+        val_loss, val_acc = evaluate(work, val_set.images, val_set.labels)
         report.rows.append(EpochRow(
             epoch=epoch,
             train_loss=epoch_loss / n,

@@ -1,7 +1,10 @@
 """Reference kernels for the fast ops, shared by the test modules.
 
-`conv2d_reference` is the naive-loop definition of `ops.conv2d`; the
-fast path must agree with it to BLAS rounding.
+`conv2d_reference` is the naive-loop definition of a conv on (N, C, H, W)
+arrays; `ops.conv2d_nhwc` must agree with it to BLAS rounding.  `conv2d`,
+`conv2d_backward`, `maxpool2` and `maxpool2_backward` run the library's
+channels-last kernels on (N, C, H, W) arrays, so tests can state hand
+cases and finite differences in the model's layout.
 
 The others are earlier, plainer formulations of five `camnet.ops`
 kernels. The library's versions do less work but must give the same
@@ -62,6 +65,31 @@ def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndar
                                 )
                     out[b, f, i, j] = acc + bias[f]
     return out
+
+
+def conv2d(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """ops.conv2d_nhwc on (N,C,H,W) input and output."""
+    x, weights, bias = ops._as_float(x), ops._as_float(weights), ops._as_float(bias)
+    return ops._to_nchw(ops.conv2d_nhwc(ops._to_nhwc(x), weights, bias, stride, pad))
+
+
+def conv2d_backward(x, weights, stride, pad, grad_out):
+    """ops.conv2d_backward_nhwc on (N,C,H,W) input and grad_out."""
+    x, weights, grad_out = ops._as_float(x), ops._as_float(weights), ops._as_float(grad_out)
+    gx, gw, gb = ops.conv2d_backward_nhwc(ops._to_nhwc(x), weights, stride, pad,
+                                          ops._to_nhwc(grad_out))
+    return ops._to_nchw(gx), gw, gb
+
+
+def maxpool2(x) -> np.ndarray:
+    """ops.maxpool2_nhwc on (N,C,H,W) input and output."""
+    return ops._to_nchw(ops.maxpool2_nhwc(ops._to_nhwc(ops._as_float(x))))
+
+
+def maxpool2_backward(x, grad_out) -> np.ndarray:
+    """ops.maxpool2_backward_nhwc on (N,C,H,W) input and grad_out."""
+    x, grad_out = ops._as_float(x), ops._as_float(grad_out)
+    return ops._to_nchw(ops.maxpool2_backward_nhwc(ops._to_nhwc(x), ops._to_nhwc(grad_out)))
 
 
 def maxpool2_nhwc(x):

@@ -171,7 +171,7 @@ def _vgg_nano_16():
 def test_hessian_logit_shallow_target_exact_zero():
     # conv, pooling and dense layers downstream are all piecewise linear
     m, x = _vgg_nano_16()
-    hess = cam.hessian_diag(m, x, 1, target_layer=0)
+    hess = cam.hessian_diag(m, x, 1, cam.CamConfig(target_layer=0))
     assert hess.shape == (8, 16, 16)
     assert not hess.any()
 
@@ -183,8 +183,7 @@ def test_hessian_closed_form_matches_fd(score_kind, target_layer):
     m, x = _vgg_nano_16()
     c, h = 1, 1e-3
     fd = fd_hessian_diag(m, x, c, target_layer, score_kind, step=h)
-    exact = cam.hessian_diag(m, x, c, target_layer,
-                             cam.CamConfig(score_kind=score_kind))
+    exact = cam.hessian_diag(m, x, c, cam.CamConfig(target_layer, score_kind))
     safe = kink_free(m, x, target_layer, step=h)
     # the FD's own rounding error: a few ulp of the score, over h^2
     nn.forward(m, x[None], capture=True)
@@ -264,7 +263,7 @@ def _reference_alpha(model, x, class_index, cfg, method):
     g = kernels_ref.score_grad_reference(model, cache, idx, class_index, cfg.score_kind)
     if method == "gradcam":
         return g.mean(axis=(1, 2)), cache, idx
-    hess = cam.hessian_diag(model, x, class_index, idx, cfg, cache)
+    hess = cam.hessian_diag(model, x, class_index, cfg, cache)
     return (hess + 2.0 * g).mean(axis=(1, 2)), cache, idx
 
 
@@ -322,7 +321,7 @@ def test_logit_rows_are_memoised_read_only(monkeypatch):
     assert list(cache.logit_rows) == [(idx, 1)]
     with pytest.raises(ValueError):
         g[0, 0, 0] = 1.0
-    cam.hessian_diag(m, x, 1, 0, cam.CamConfig(score_kind="probability"), cache)
+    cam.hessian_diag(m, x, 1, cam.CamConfig(0, "probability"), cache)
     assert len(calls) == 4  # target 0 is another layer: three rows of its own
     for row in cache.logit_rows.values():
         assert not row.flags.writeable

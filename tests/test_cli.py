@@ -1,5 +1,6 @@
 """CLI subcommand flows on a tiny corpus, plus exit-code contracts."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -254,6 +255,21 @@ BAD_INPUTS = [
       "--out", "{root}/synth_eval"], 2,
      "corpus {synth} has classes (0_disk, 1_rect, 2_cross), but the model "
      "{weights} has (glioma, menin, tumor)"),
+    (["split", "--data", "{good}", "--out", "{root}/split.csv", "--ratios", "a,b,c"], 1,
+     "--ratios: expected comma-separated numbers (train,val,test), got 'a,b,c'"),
+    (["split", "--data", "{good}", "--out", "{root}/split.csv", "--ratios", "0.5,0.5"], 2,
+     "ratios must be three numbers in [0, 1], got (0.5, 0.5)"),
+    (["split", "--data", "{good}", "--out", "{root}/split.csv", "--ratios", "inf,-inf,0"],
+     2, "ratios must be three numbers in [0, 1], got (inf, -inf, 0.0)"),
+    (["split", "--data", "{good}", "--out", "{root}/split.csv", "--ratios", "nan,0.5,0.5"],
+     2, "ratios must be three numbers in [0, 1], got (nan, 0.5, 0.5)"),
+    (["split", "--data", "{good}", "--out", "{root}/split.csv",
+      "--ratios=1.5,-0.25,-0.25"], 2,
+     "ratios must be three numbers in [0, 1], got (1.5, -0.25, -0.25)"),
+    (["synth", "--out", "{root}/neg_size", "--n", "2", "--size", "-3"], 2,
+     "image_size must be >= 1, got -3"),
+    (["synth", "--out", "{root}/zero_size", "--n", "2", "--size", "0"], 2,
+     "image_size must be >= 1, got 0"),
 ]
 
 
@@ -383,6 +399,26 @@ def test_traced_train_benchmark_sees_the_eval_command():
     assert "lacks" not in proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
     assert metrics["cli.eval.self_ms"]["value"] > 0
+
+
+def test_traced_functions_exist_in_camnet():
+    # perfbench's tracer fails a traced run on any name in its LAYERS that
+    # camnet lacks; spans.py is only loaded here, its tracer never installed
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for modname, funcs in spans.LAYERS.values():
+        module = importlib.import_module(modname)
+        for fname in funcs:
+            owner = module
+            for part in fname.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{modname}.{fname}")
+    assert missing == []
 
 
 def test_train_ppm_corpus_builds_rgb_preset(tmp_path):

@@ -168,6 +168,14 @@ def test_split_bad_ratios():
         data.stratified_split(_fake_dataset((10, 10, 10)), ratios=(0.5, 0.2, 0.2))
 
 
+def test_split_needs_three_ratios_in_unit_interval():
+    # NaN fails every comparison, and out-of-range ratios can sum to 1
+    for ratios in [(0.5, 0.5), (float("nan"), 0.5, 0.5), (1.5, -0.25, -0.25),
+                   (float("inf"), float("-inf"), 0.0)]:
+        with pytest.raises(DataError, match=r"ratios must be three numbers in \[0, 1\]"):
+            data.stratified_split(_fake_dataset((10, 10, 10)), ratios=ratios)
+
+
 def test_manifest_csv_round_trip(tmp_path):
     ds = _fake_dataset((10, 10, 10))
     m = data.stratified_split(ds, seed=5)

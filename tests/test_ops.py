@@ -16,7 +16,7 @@ rng = np.random.default_rng(1234)
 def test_conv_all_ones():
     x = np.ones((1, 1, 3, 3))
     w = np.ones((1, 1, 2, 2))
-    out = ops.conv2d(x, w, np.zeros(1))
+    out = kernels_ref.conv2d(x, w, np.zeros(1))
     assert out.shape == (1, 1, 2, 2)
     assert np.array_equal(out, np.full((1, 1, 2, 2), 4.0))
 
@@ -25,7 +25,7 @@ def test_conv_zero_input_gives_bias():
     x = np.zeros((2, 3, 5, 5))
     w = rng.standard_normal((4, 3, 3, 3))
     b = np.array([1.0, -2.0, 0.5, 3.0])
-    out = ops.conv2d(x, w, b, stride=1, pad=1)
+    out = kernels_ref.conv2d(x, w, b, stride=1, pad=1)
     for o in range(4):
         assert np.allclose(out[:, o], b[o])
 
@@ -41,7 +41,7 @@ def test_conv_matches_naive_reference(shape, wshape, stride, pad):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(wshape)
     b = rng.standard_normal(wshape[0])
-    fast = ops.conv2d(x, w, b, stride, pad)
+    fast = kernels_ref.conv2d(x, w, b, stride, pad)
     ref = kernels_ref.conv2d_reference(x, w, b, stride, pad)
     assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -50,19 +50,19 @@ def test_conv_is_deterministic():
     x = rng.standard_normal((2, 3, 8, 8))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    a = ops.conv2d(x, w, b, 1, 1)
-    assert np.array_equal(a, ops.conv2d(x, w, b, 1, 1))
+    a = kernels_ref.conv2d(x, w, b, 1, 1)
+    assert np.array_equal(a, kernels_ref.conv2d(x, w, b, 1, 1))
 
 
 def test_conv_backward_finite_difference():
     x = rng.standard_normal((1, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    out = ops.conv2d(x, w, b, stride=2, pad=1)
-    gx, gw, gb = ops.conv2d_backward(x, w, 2, 1, np.ones_like(out))
+    out = kernels_ref.conv2d(x, w, b, stride=2, pad=1)
+    gx, gw, gb = kernels_ref.conv2d_backward(x, w, 2, 1, np.ones_like(out))
 
-    loss_x = lambda v: float(ops.conv2d(v, w, b, 2, 1).sum())
-    loss_w = lambda v: float(ops.conv2d(x, v, b, 2, 1).sum())
+    loss_x = lambda v: float(kernels_ref.conv2d(v, w, b, 2, 1).sum())
+    loss_w = lambda v: float(kernels_ref.conv2d(x, v, b, 2, 1).sum())
     assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
     assert ops.max_rel_error(gw, ops.finite_diff_grad(loss_w, w)) <= 1e-6
     assert np.allclose(gb, out[0, 0].size * np.ones(3))
@@ -73,10 +73,10 @@ def test_conv_backward_finite_difference():
                                     ((7, 7), 3, 3, 2), ((5, 5), 1, 2, 1)]:
         x = rng.standard_normal((2, 2, h, wd))
         w = rng.standard_normal((3, 2, k, k))
-        g = rng.standard_normal(ops.conv2d(x, w, b, stride, pad).shape)
-        gx, gw, _ = ops.conv2d_backward(x, w, stride, pad, g)
-        loss_x = lambda v: float((ops.conv2d(v, w, b, stride, pad) * g).sum())
-        loss_w = lambda v: float((ops.conv2d(x, v, b, stride, pad) * g).sum())
+        g = rng.standard_normal(kernels_ref.conv2d(x, w, b, stride, pad).shape)
+        gx, gw, _ = kernels_ref.conv2d_backward(x, w, stride, pad, g)
+        loss_x = lambda v: float((kernels_ref.conv2d(v, w, b, stride, pad) * g).sum())
+        loss_w = lambda v: float((kernels_ref.conv2d(x, v, b, stride, pad) * g).sum())
         assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
         assert ops.max_rel_error(gw, ops.finite_diff_grad(loss_w, w)) <= 1e-6
 
@@ -86,9 +86,9 @@ def test_conv_backward_stride1_finite_difference():
     x = rng.standard_normal((2, 2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3))
     b = np.zeros(3)
-    g = rng.standard_normal(ops.conv2d(x, w, b, 1, 1).shape)
-    gx, gw, gb = ops.conv2d_backward(x, w, 1, 1, g)
-    loss_x = lambda v: float((ops.conv2d(v, w, b, 1, 1) * g).sum())
+    g = rng.standard_normal(kernels_ref.conv2d(x, w, b, 1, 1).shape)
+    gx, gw, gb = kernels_ref.conv2d_backward(x, w, 1, 1, g)
+    loss_x = lambda v: float((kernels_ref.conv2d(v, w, b, 1, 1) * g).sum())
     assert ops.max_rel_error(gx, ops.finite_diff_grad(loss_x, x)) <= 1e-6
 
 
@@ -163,12 +163,17 @@ def test_float32_stays_float32():
 
 
 def test_conv_shape_errors():
-    with pytest.raises(ShapeError):
-        ops.conv2d(np.zeros((1, 1, 3, 3)), np.ones((1, 1, 5, 5)), np.zeros(1))
-    with pytest.raises(ShapeError):
-        ops.conv2d(np.zeros((1, 2, 4, 4)), np.ones((1, 3, 2, 2)), np.zeros(1))
-    with pytest.raises(ShapeError):
-        ops.conv2d(np.zeros((1, 4, 4)), np.ones((1, 1, 2, 2)), np.zeros(1))
+    with pytest.raises(ShapeError, match="conv output size -1x-1 < 1 for input 3x3"):
+        ops.conv2d_nhwc(np.zeros((1, 3, 3, 1)), np.ones((1, 1, 5, 5)), np.zeros(1))
+    with pytest.raises(ShapeError, match="conv input channels 2 != weight channels 3"):
+        ops.conv2d_nhwc(np.zeros((1, 4, 4, 2)), np.ones((1, 3, 2, 2)), np.zeros(1))
+    with pytest.raises(ShapeError, match="conv input must be 4-d, got ndim=3"):
+        ops.conv2d_nhwc(np.zeros((1, 4, 4)), np.ones((1, 1, 2, 2)), np.zeros(1))
+    with pytest.raises(ShapeError, match="conv bias shape"):
+        ops.conv2d_nhwc(np.zeros((1, 4, 4, 1)), np.ones((2, 1, 2, 2)), np.zeros(1))
+    with pytest.raises(ShapeError, match="conv grad_out shape"):
+        ops.conv2d_backward_nhwc(np.zeros((1, 4, 4, 1)), np.ones((2, 1, 2, 2)), 1, 0,
+                                 np.zeros((1, 2, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +181,15 @@ def test_conv_shape_errors():
 
 def test_maxpool_single_window():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    assert ops.maxpool2(x)[0, 0, 0, 0] == 4.0
-    g = ops.maxpool2_backward(x, np.ones((1, 1, 1, 1)))
+    assert kernels_ref.maxpool2(x)[0, 0, 0, 0] == 4.0
+    g = kernels_ref.maxpool2_backward(x, np.ones((1, 1, 1, 1)))
     assert np.array_equal(g[0, 0], [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_maxpool_tie_break_top_left():
     x = np.full((1, 1, 2, 2), 5.0)
-    assert ops.maxpool2(x)[0, 0, 0, 0] == 5.0
-    g = ops.maxpool2_backward(x, np.ones((1, 1, 1, 1)))
+    assert kernels_ref.maxpool2(x)[0, 0, 0, 0] == 5.0
+    g = kernels_ref.maxpool2_backward(x, np.ones((1, 1, 1, 1)))
     assert np.array_equal(g[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -192,14 +197,14 @@ def test_maxpool_finite_difference():
     # a tie-free input so the pooling is locally smooth
     x = rng.standard_normal((1, 1, 6, 6))
     g = rng.standard_normal((1, 1, 3, 3))
-    gx = ops.maxpool2_backward(x, g)
-    loss = lambda v: float((ops.maxpool2(v) * g).sum())
+    gx = kernels_ref.maxpool2_backward(x, g)
+    loss = lambda v: float((kernels_ref.maxpool2(v) * g).sum())
     assert ops.max_rel_error(gx, ops.finite_diff_grad(loss, x)) <= 1e-6
 
 
 def test_maxpool_odd_dims_rejected():
     with pytest.raises(ShapeError):
-        ops.maxpool2(np.zeros((1, 1, 5, 6)))
+        kernels_ref.maxpool2(np.zeros((1, 1, 5, 6)))
 
 
 def _post_relu(shape, seed):

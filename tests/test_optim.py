@@ -186,13 +186,47 @@ def test_report_csv_format(tmp_path):
 def test_evaluate_matches_manual():
     tr, _ = _tiny_sets()
     m = _tiny_model()
-    loss, acc = optim.evaluate(m, tr.images, tr.labels, batch_size=5)
+    loss, acc = optim.evaluate(m, tr.images, tr.labels)
     x = np.stack([np.moveaxis(im, -1, 0) for im in tr.images])
     probs = nn.forward(m, x)
     want_loss, _ = optim.sparse_ce(probs, tr.labels)
     want_acc = float((probs.argmax(axis=1) == np.asarray(tr.labels)).mean())
     assert loss == pytest.approx(want_loss, rel=1e-12)
     assert acc == want_acc
+
+
+def test_evaluate_float32_work_copy_matches_whole_batch_forward():
+    # the float32 copy train validates with, over more images than one
+    # dense-head chunk: predict's per-image convs and chunked head round
+    # differently from one whole-batch forward, within float32 precision
+    tr, _ = _tiny_sets(n_per_class=44)
+    assert len(tr.images) > nn.PREDICT_CHUNK
+    work = optim._compute_copy(_tiny_model())
+    loss, acc = optim.evaluate(work, tr.images, tr.labels)
+    probs = nn.forward(work, np.stack([np.moveaxis(im, -1, 0) for im in tr.images]))
+    assert probs.dtype == np.float32
+    want_loss, _ = optim.sparse_ce(probs, tr.labels)
+    assert acc == int((probs.argmax(axis=1) == np.asarray(tr.labels)).sum()) / len(tr.images)
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+
+
+def test_train_validates_through_predict(monkeypatch):
+    calls = {"predict": [], "eval_forward": 0}
+    forward, predict = nn.forward, nn.predict
+
+    def counted_forward(*args, **kwargs):
+        calls["eval_forward"] += not kwargs.get("train_mode", False)
+        return forward(*args, **kwargs)
+
+    def counted_predict(model, images):
+        calls["predict"].append(model.dtype)
+        return predict(model, images)
+    monkeypatch.setattr(nn, "forward", counted_forward)
+    monkeypatch.setattr(nn, "predict", counted_predict)
+    tr, va = _tiny_sets()
+    optim.train(_tiny_model(), tr, va, optim.TrainConfig(epochs=2, batch_size=4, seed=1))
+    # one validation per epoch, on the float32 work copy
+    assert calls == {"predict": [optim.COMPUTE_DTYPE] * 2, "eval_forward": 0}
 
 
 
