@@ -25,8 +25,8 @@ from . import gradcheck as gradchecklib
 from . import metrics as metricslib
 from . import model as nn
 from . import optim
+from . import tuning
 from .errors import BuildError, CamnetError, ConfigError, DataError, ShapeError
-from .tuning import keep_malloc_pages
 
 SECTIONS = {
     "train": optim.TrainConfig,
@@ -126,6 +126,16 @@ def environment() -> dict:
     }
 
 
+def thread_counts() -> dict:
+    """run.txt entries of `train` and `eval`: the pool's worker count and
+    the BLAS thread count its passes run under, read back under the pin
+    ("unknown" where BLAS does not report it)."""
+    with tuning.one_blas_thread():
+        blas = tuning.blas_threads()
+    return {"workers": tuning.workers(),
+            "blas_threads": "unknown" if blas is None else blas}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -195,11 +205,16 @@ def cmd_train(args):
     tc = configs["train"]
     if args.seed is not None:
         tc.seed = args.seed
-    ds = datalib.load_directory(args.data)
+    # every file is decoded, so a bad one fails as in load_directory, but
+    # only the train and val rows are normalized
+    ds = datalib.list_directory(args.data)
+    ds.images = [datalib.read_image(p) for p in ds.paths]
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
     manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
     train_set = ds.subset(manifest.train)
     val_set = ds.subset(manifest.val)
+    for split in (train_set, val_set):
+        split.images = [datalib.minmax_normalize(img) for img in split.images]
 
     h, w, c = ds.image_shape()
     spec = _model_spec_for(args, ds.class_names, (h, w), c)
@@ -222,7 +237,7 @@ def cmd_train(args):
         "command": "train", "data": args.data, "manifest": manifest_path,
         "model_spec": spec.canonical(), "weights": weight_path,
         "train_report": report_path, "compute_dtype": optim.COMPUTE_DTYPE.name,
-        **environment(),
+        **environment(), **thread_counts(),
     })
     last = report.rows[-1]
     print(f"trained {tc.epochs} epochs: train_acc={last.train_acc:.4f} "
@@ -275,6 +290,7 @@ def cmd_eval(args):
         "command": "eval", "data": args.data, "weights": args.weights,
         "manifest": manifest_path, "out": args.out, "images_scored": len(preds),
         "elapsed_s": f"{time.perf_counter() - start:.3f}", **environment(),
+        **thread_counts(),
     })
     print(rep.to_table(), end="")
 
@@ -414,7 +430,7 @@ def build_parser():
 def main(argv=None):
     """Run one command.  Every command runs under the malloc policy of
     tuning.keep_malloc_pages, which train needs and batch-1 calls gain from."""
-    keep_malloc_pages()
+    tuning.keep_malloc_pages()
     args = build_parser().parse_args(argv)
     try:
         globals()[f"cmd_{args.command}"](args)

@@ -10,8 +10,8 @@ All randomness goes through rng.Rng; see that module for the stream
 definition that makes every pipeline output reproducible.
 """
 
+import collections
 import csv
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -372,22 +372,34 @@ def _build_rotation_plan(h: int, w: int, degrees: float) -> tuple:
     return plan
 
 
-# Plans of images up to this many pixels are kept, at most 8 of them, so
-# the cache never holds more than 12 MiB.  A larger image builds its plan
-# on every call.
-_PLAN_CACHE_PIXELS = 256 * 256
-_cached_rotation_plan = functools.lru_cache(maxsize=8)(_build_rotation_plan)
+# The plans kept, least recently used first, and their bound in bytes: a
+# 512x512 corpus's 4 plans (6 MiB each) fit, and so do 85 plans at
+# 128x128.  A plan larger than the bound is built on every call.
+_PLAN_CACHE_BYTES = 32 << 20
+_plans = collections.OrderedDict()
 
 
 def _rotation_plan(h: int, w: int, degrees: float) -> tuple:
-    """`_build_rotation_plan`, from the cache for images of up to
-    `_PLAN_CACHE_PIXELS` pixels.  The key is (h, w, degrees): -0.0 and 0.0
-    share one, and their plans are the same bits, since sin(-0.0) * x
-    only adds a signed zero to a coordinate sum whose other term is +0.0
-    or nonzero."""
-    if h * w > _PLAN_CACHE_PIXELS:
-        return _build_rotation_plan(h, w, degrees)
-    return _cached_rotation_plan(h, w, degrees)
+    """`_build_rotation_plan`, from a cache of at most `_PLAN_CACHE_BYTES`
+    that drops the least recently used plans first.  The key is
+    (h, w, degrees): -0.0 and 0.0 share one, and their plans are the same
+    bits, since sin(-0.0) * x only adds a signed zero to a coordinate sum
+    whose other term is +0.0 or nonzero."""
+    key = (h, w, degrees)
+    plan = _plans.get(key)
+    if plan is not None:
+        _plans.move_to_end(key)
+        return plan
+    plan = _build_rotation_plan(h, w, degrees)
+    if _plan_bytes(plan) <= _PLAN_CACHE_BYTES:
+        _plans[key] = plan
+        while sum(_plan_bytes(p) for p in _plans.values()) > _PLAN_CACHE_BYTES:
+            _plans.popitem(last=False)
+    return plan
+
+
+def _plan_bytes(plan) -> int:
+    return sum(a.nbytes for a in plan)
 
 
 def rotate_bilinear(img: np.ndarray, degrees: float, fill: float = 0.0) -> np.ndarray:

@@ -14,6 +14,12 @@ PRE-softmax logits (softmax is fused with the loss, see optim.sparse_ce)
 and returns gradients for every parameter plus every cached layer
 output.  The saliency code runs it stopped above its target layer and
 without parameter gradients, and reads the activation gradients only.
+
+A train-mode capture of more than SHARD images runs data-parallel: each
+shard of SHARD images goes through the layers up to the Flatten on the
+tuning pool, the head runs on the whole batch, and backward sums the
+shards' parameter gradients in shard order.  `predict` runs its
+per-image conv stacks on the same pool.
 """
 
 import itertools
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import ops
+from . import ops, tuning
 from .errors import (
     BuildError,
     ShapeError,
@@ -339,16 +345,23 @@ class ForwardCache:
     computes parameter gradients on it rebuilds each matrix.
     logit_rows[(i, k)] memoises the saliency code's read-only gradient of
     logit k at layer i's output, so each such backward runs once per
-    capture.
+    capture.  A sharded train-mode capture (see forward) keeps one
+    ForwardCache per shard in `shards`, each covering the layers up to
+    and including the Flatten; its own activations up to the Flatten's
+    input are then None, and its masks and patch matrices are the head's.
     """
 
     activations: list
     dropout_masks: dict
     conv_cols: dict = field(default_factory=dict)
     logit_rows: dict = field(default_factory=dict)
+    shards: list = field(default_factory=list)
 
     def activation_nchw(self, i: int) -> np.ndarray:
         """activations[i] in the public (N,C,H,W) layout when 4-d."""
+        if self.activations[i] is None:
+            raise ShapeError(f"activation {i} of a sharded capture is kept per "
+                             "shard, in cache.shards")
         return _nchw(self.activations[i])
 
 
@@ -432,17 +445,79 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
     (one splitmix64 stream consumed across Dropout layers in order).
     With capture on, every layer output is stored in model.cache.  The
     batch is cast to model.dtype, the dtype of every layer output.
+
+    A train-mode capture of more than SHARD images runs sharded (see
+    _forward_sharded): its cache keeps the layers up to the Flatten per
+    shard, in cache.shards.
     """
     x = np.asarray(batch, dtype=model.dtype)
     expect = tuple(model.spec.input_shape)
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ShapeError(f"batch shape {x.shape} does not match (N,)+{expect}")
     x = ops._to_nhwc(x)
+    if train_mode and capture and x.shape[0] > SHARD:
+        model.cache = None  # the last step's cache, freed before this one is built
+        model.cache, x = _forward_sharded(model, x, dropout_seed)
+        return x
     cache = ForwardCache([x], {}, {}) if capture else None
     drop_rng = Rng(dropout_seed) if train_mode else None
     x = _run(model, x, 0, len(model.spec.layers), cache, drop_rng)
     model.cache = cache
     return x
+
+
+# Images per shard of a sharded train-mode step.  On a 128x128 vgg-nano
+# batch of 32 with two workers, 4, 8 and 16 images per shard were within
+# noise of each other (180, 187 and 194 ms per float32 step), against 277
+# ms for the whole batch on two BLAS threads (see CHANGES.md).  At 8 a
+# shard's smallest conv GEMM at 128x128 (the 16-channel convs, 8x64x64
+# rows) has 32768 rows, and sub-GEMMs of 2048 rows or more round as the
+# whole batch's.
+SHARD = 8
+
+
+def _forward_sharded(model: Model, x: np.ndarray, seed: int):
+    """A train-mode capture forward of a channels-last batch as shards of
+    SHARD images.  Returns (cache, probabilities).
+
+    Each shard runs the layers up to and including the Flatten, keeping
+    its own ForwardCache with its patch matrices and dropout masks, on the
+    tuning pool.  The flat features are concatenated in shard order and
+    the head runs once on the whole batch.  A Dropout before the Flatten
+    draws its shard's slice of the block the whole batch would draw
+    (the stream is counter-based, so the slice starts at its offset), and
+    the head's draws continue after all of those: every mask is the
+    whole-batch pass's.  Every other layer works per image, and a
+    shard's conv GEMMs round as the whole batch's, so only the parameter
+    gradients, summed over shards, differ from a whole-batch pass.
+    """
+    layers = model.spec.layers
+    flat = layers.index(Flatten())
+    n = x.shape[0]
+    starts, drawn = {}, 0  # Dropout index -> first draw of image 0
+    for i in range(flat):
+        if isinstance(layers[i], Dropout) and layers[i].rate > 0.0:
+            starts[i] = drawn
+            drawn += n * math.prod(model.layer_shapes[i])
+    train = Rng(seed)  # marks a train-mode pass for the layers that draw nothing
+
+    def shard_forward(a):
+        xs = x[a:a + SHARD]
+        cache = ForwardCache([xs], {}, {})
+        for i in range(flat + 1):
+            rng = train
+            if i in starts:
+                rng = Rng(seed, starts[i] + a * math.prod(model.layer_shapes[i]))
+            xs = layers[i].forward(xs, model.params[i], i, cache, rng)
+            cache.activations.append(xs)
+        return cache
+
+    with tuning.one_blas_thread():
+        shards = tuning.parallel_map(shard_forward, range(0, n, SHARD))
+        feats = np.concatenate([c.activations[-1] for c in shards])
+        cache = ForwardCache([None] * (flat + 1) + [feats], {}, {}, shards=shards)
+        probs = _run(model, feats, flat + 1, len(layers), cache, Rng(seed, drawn))
+    return cache, probs
 
 
 # Images whose flat features `predict` stacks for one pass of the dense
@@ -463,7 +538,10 @@ def predict(model: Model, images) -> np.ndarray:
     the identity, Softmax) runs once per PREDICT_CHUNK images, so each
     Dense weight matrix is read once per chunk instead of once per image.
     Its GEMM rounds differently from a batch-1 forward's GEMV, so the
-    probabilities can differ from `forward`'s in the last bits.
+    probabilities can differ from `forward`'s in the last bits.  A chunk's
+    per-image stacks run on the tuning pool, with OpenBLAS pinned to one
+    thread; each image's features are the same whichever thread computes
+    them.
     """
     layers = model.spec.layers
     flat = layers.index(Flatten())
@@ -477,9 +555,11 @@ def predict(model: Model, images) -> np.ndarray:
 
     images = iter(images)
     probs = [np.empty((0, len(model.spec.class_names)), dtype=model.dtype)]
-    while feats := [features(img) for img in itertools.islice(images, PREDICT_CHUNK)]:
-        probs.append(_run(model, np.concatenate(feats), flat + 1, len(layers),
-                          None, None))
+    with tuning.one_blas_thread():
+        while chunk := list(itertools.islice(images, PREDICT_CHUNK)):
+            feats = tuning.parallel_map(features, chunk)
+            probs.append(_run(model, np.concatenate(feats), flat + 1, len(layers),
+                              None, None))
     return np.concatenate(probs)
 
 
@@ -524,7 +604,8 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
     only and every parameter dict stays empty: the saliency code stops at
     the layer above its target this way.  The training loop runs the full
     pass with need_input_grad=False, which skips only the unused gradient
-    w.r.t. the input batch.
+    w.r.t. the input batch.  On a sharded capture the pass runs each
+    shard's layers on its own (see _backward_sharded).
     """
     if cache is None:
         cache = model.cache
@@ -539,12 +620,56 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
     param_grads = [{} for _ in range(n_layers)]
     act_grads = [None] * (n_layers + 1)
     act_grads[n_layers] = g  # by the fused convention, also the logit gradient
+    if cache.shards:
+        with tuning.one_blas_thread():
+            _backward_sharded(model, g, cache, stop, need_input_grad, need_param_grads,
+                              param_grads, act_grads)
+    else:
+        _backprop(model, g, cache, n_layers, stop, need_input_grad, need_param_grads,
+                  param_grads, act_grads)
+    return Gradients(param_grads, act_grads)
 
-    for i in range(n_layers - 1, stop - 1, -1):
+
+def _backprop(model, g, cache, start, stop, need_input_grad, need_param_grads,
+              param_grads, act_grads):
+    """Layers start-1 down to stop on `cache`, filling param_grads[i] and
+    act_grads[i]."""
+    for i in range(start - 1, stop - 1, -1):
         g, param_grads[i] = model.spec.layers[i].backward(
             g, model.params[i], i, cache, need_input_grad or i > 0, need_param_grads)
         act_grads[i] = g
-    return Gradients(param_grads, act_grads)
+
+
+def _backward_sharded(model, g, cache, stop, need_input_grad, need_param_grads,
+                      param_grads, act_grads):
+    """backward on a sharded capture: the head on the whole batch, then
+    each shard's layers on the tuning pool, from its rows of the Flatten
+    output's gradient.  Each parameter gradient is the sum of the shards'
+    in shard order.  Of the activation gradients below the Flatten
+    output, only the one at `stop` is kept, concatenated over shards."""
+    n_layers, flat = len(model.spec.layers), model.spec.layers.index(Flatten())
+    _backprop(model, g, cache, n_layers, max(stop, flat + 1), need_input_grad,
+              need_param_grads, param_grads, act_grads)
+    if stop > flat:
+        return
+    sizes = [len(c.activations[0]) for c in cache.shards]
+    rows = np.split(act_grads[flat + 1], np.cumsum(sizes)[:-1])
+
+    def shard_backward(shard):
+        shard_cache, g = shard
+        pg, ag = [{} for _ in range(flat + 1)], [None] * (flat + 2)
+        _backprop(model, g, shard_cache, flat + 1, stop, need_input_grad,
+                  need_param_grads, pg, ag)
+        return pg, ag[stop]
+
+    shards = tuning.parallel_map(shard_backward, zip(cache.shards, rows))
+    for i in range(stop, flat + 1):
+        for name, total in shards[0][0][i].items():
+            for pg, _ in shards[1:]:
+                total += pg[i][name]
+            param_grads[i][name] = total
+    if shards[0][1] is not None:
+        act_grads[stop] = np.concatenate([ag for _, ag in shards])
 
 
 def forward_from(model: Model, layer_index: int, activation: np.ndarray) -> np.ndarray:

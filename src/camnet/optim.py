@@ -12,6 +12,11 @@ parameters, refreshed from the masters after each step, and
 `optimizer_step` applies the float32 gradients to the float64 masters
 and their optimizer state.  The caller's model stays float64.
 Validation (`evaluate`) scores through `model.predict`, as `eval` does.
+
+`train` runs under `tuning.one_blas_thread()`: its batches of more than
+model.SHARD images run sharded on the tuning pool, and `optimizer_step`
+updates the masters in pieces of UPDATE_CHUNK elements on the same pool,
+so the trained bytes do not depend on the worker count or BLAS threads.
 """
 
 import csv
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as nn
+from . import tuning
 from .errors import DataError, DivergenceError, ShapeError
 from .rng import Rng, derive_seed
 
@@ -108,26 +114,54 @@ def init_opt_state(model: nn.Model, kind: str) -> dict:
     return state
 
 
+# Elements of one piece of the optimizer update: 256 KiB of float64 per
+# array.  On vgg-nano's Adam step with two workers, 32768 to 262144 were
+# within noise of each other (12-14 ms), 8192 took 37 ms, and one piece
+# per parameter 33 ms (see CHANGES.md).
+UPDATE_CHUNK = 32768
+
+
 def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
                    lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
     """In-place parameter update; state mutated accordingly.  Gradients of
-    a lower precision are upcast (exactly) to the parameters' dtype first."""
+    a lower precision are upcast (exactly) to the parameters' dtype first.
+
+    Every parameter is updated in pieces of UPDATE_CHUNK elements, spread
+    over the tuning pool.  Each element gets the same ufuncs in the same
+    order whatever piece it lands in, so the result does not depend on
+    the pieces or the worker count.
+    """
+    if kind not in OPTIMIZERS:
+        raise DataError(f"unknown optimizer {kind!r}")
     state["t"] += 1
     t = state["t"]
+    pieces = []
     for li, name, p in model.param_items():
         g = grads.params[li][name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param {p.shape} "
                              f"(layer {li}, {name})")
+        acc = state.get((li, name), ())
+        acc = acc if isinstance(acc, tuple) else (acc,)  # Adam keeps (m, v)
+        if not all(a.flags.c_contiguous for a in (p, *acc)):
+            # reshape(-1) would copy them, and the update would be lost
+            raise ShapeError(f"parameter (layer {li}, {name}) or its state "
+                             "is not C-contiguous")
+        flat = [a.reshape(-1) for a in (p, g, *acc)]
+        pieces += [[a[s:s + UPDATE_CHUNK] for a in flat]
+                   for s in range(0, p.size, UPDATE_CHUNK)]
+
+    def update(piece):
+        p, g, *acc = piece
         g = g.astype(p.dtype, copy=False)
         if kind == "sgd":
             p -= lr * g
         elif kind == "adagrad":
-            acc = state[(li, name)]
+            acc, = acc
             acc += g * g
             p -= lr * g / (np.sqrt(acc) + eps)
-        elif kind == "adam":
-            m, v = state[(li, name)]
+        else:
+            m, v = acc
             m *= beta1
             m += (1 - beta1) * g
             v *= beta2
@@ -139,8 +173,8 @@ def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
             np.divide(m, denom, out=denom)
             denom *= lr / (1 - beta1**t)
             p -= denom
-        else:
-            raise DataError(f"unknown optimizer {kind!r}")
+
+    tuning.parallel_map(update, pieces)
 
 
 def _compute_copy(model: nn.Model) -> nn.Model:
@@ -178,8 +212,7 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
     image is transformed per epoch with an rng derived from
     (config.seed, epoch, item index); validation data is never augmented.
     """
-    from .tuning import keep_malloc_pages
-    keep_malloc_pages()
+    tuning.keep_malloc_pages()
 
     config.validate()
     if not train_set.images or not val_set.images:
@@ -194,45 +227,46 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
     report = TrainReport()
     n = len(train_set.images)
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = list(range(n))
-        if config.shuffle:
-            Rng(config.seed ^ epoch).shuffle(order)
+    with tuning.one_blas_thread():  # the pool computes in parallel instead
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = list(range(n))
+            if config.shuffle:
+                Rng(config.seed ^ epoch).shuffle(order)
 
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for b, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
-            imgs = [train_set.images[i] for i in idx]
-            if augment is not None:
-                imgs = [augment(im, Rng(derive_seed(config.seed, epoch, i)))
-                        for im, i in zip(imgs, idx)]
-            x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])  # (N, C, H, W)
-            y = [train_set.labels[i] for i in idx]
+            epoch_loss = 0.0
+            epoch_correct = 0
+            for b, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[start:start + config.batch_size]
+                imgs = [train_set.images[i] for i in idx]
+                if augment is not None:
+                    imgs = [augment(im, Rng(derive_seed(config.seed, epoch, i)))
+                            for im, i in zip(imgs, idx)]
+                x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])  # (N, C, H, W)
+                y = [train_set.labels[i] for i in idx]
 
-            probs = nn.forward(work, x, train_mode=True,
-                               dropout_seed=derive_seed(config.seed, epoch, b, 1),
-                               capture=True)
-            loss, dlogits = sparse_ce(probs, y)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b}")
-            grads = nn.backward(work, dlogits, need_input_grad=False)
-            optimizer_step(config.optimizer, model, grads, state,
-                           config.learning_rate, config.beta1, config.beta2,
-                           config.eps)
-            _refresh(work, model)
-            work.cache = grads = None  # freed before the next forward builds its own
-            epoch_loss += loss * len(y)
-            epoch_correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
+                probs = nn.forward(work, x, train_mode=True,
+                                   dropout_seed=derive_seed(config.seed, epoch, b, 1),
+                                   capture=True)
+                loss, dlogits = sparse_ce(probs, y)
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b}")
+                grads = nn.backward(work, dlogits, need_input_grad=False)
+                optimizer_step(config.optimizer, model, grads, state,
+                               config.learning_rate, config.beta1, config.beta2,
+                               config.eps)
+                _refresh(work, model)
+                work.cache = grads = None  # freed before the next forward builds its own
+                epoch_loss += loss * len(y)
+                epoch_correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
 
-        val_loss, val_acc = evaluate(work, val_set.images, val_set.labels)
-        report.rows.append(EpochRow(
-            epoch=epoch,
-            train_loss=epoch_loss / n,
-            train_acc=epoch_correct / n,
-            val_loss=val_loss,
-            val_acc=val_acc,
-            seconds=time.perf_counter() - t0,
-        ))
+            val_loss, val_acc = evaluate(work, val_set.images, val_set.labels)
+            report.rows.append(EpochRow(
+                epoch=epoch,
+                train_loss=epoch_loss / n,
+                train_acc=epoch_correct / n,
+                val_loss=val_loss,
+                val_acc=val_acc,
+                seconds=time.perf_counter() - t0,
+            ))
     return report

@@ -57,11 +57,18 @@ def derive_seed(seed: int, *keys: int) -> int:
 
 
 class Rng:
-    """Counter-based splitmix64 stream (see module docstring)."""
+    """Counter-based splitmix64 stream (see module docstring).
 
-    def __init__(self, seed: int):
+    `start` skips that many raw outputs: Rng(s, start=k) continues exactly
+    where Rng(s) is after k outputs, so a slice of a block can be drawn
+    without drawing what precedes it.
+    """
+
+    def __init__(self, seed: int, start: int = 0):
+        if start < 0:
+            raise ValueError(f"stream start must be >= 0, got {start}")
         self._seed = seed & _MASK
-        self._i = 0  # raw outputs consumed so far
+        self._i = start  # raw outputs consumed so far
 
     def next_u64(self) -> int:
         self._i += 1

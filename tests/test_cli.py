@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from camnet import cli, data, model as nn, ops
+from camnet import cli, data, model as nn, ops, tuning
 
 
 def run_cli(argv):
@@ -349,6 +349,43 @@ def test_eval_normalizes_and_scores_only_the_test_rows(corpus, monkeypatch, tmp_
     assert manifest["images_scored"] == str(n_test)
     assert float(manifest["elapsed_s"]) > 0
     assert all(key in manifest for key in ENVIRONMENT)
+
+
+def test_train_bytes_do_not_depend_on_the_worker_count(corpus, monkeypatch, tmp_path):
+    """Batches of 12 run as shards of 8 and 4 (the last batch 8 and 1);
+    one and two workers write the same weights and report, and each
+    run.txt names its worker count and BLAS thread count."""
+    _, d = corpus
+    outs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
+        out = str(tmp_path / f"train{workers}")
+        assert run_cli(["train", "--data", d, "--out", out, "--seed", "4",
+                        "--set", "train.epochs=2", "--set", "train.batch_size=12"]) == 0
+        manifest = _manifest(out)
+        assert manifest["workers"] == str(workers)
+        blas = tuning.blas_threads()
+        assert manifest["blas_threads"] == ("unknown" if blas is None else "1")
+        with open(os.path.join(out, "train_report.csv")) as f:
+            report = [line.rsplit(",", 1)[0] for line in f]
+        with open(os.path.join(out, "model.camf"), "rb") as f:
+            outs.append((f.read(), report))
+    assert outs[0] == outs[1]
+    ev = str(tmp_path / "eval")
+    assert run_cli(["eval", "--data", d, "--weights",
+                    os.path.join(out, "model.camf"), "--out", ev]) == 0
+    assert _manifest(ev)["workers"] == "2" and "blas_threads" in _manifest(ev)
+
+
+def test_train_normalizes_only_the_train_and_val_rows(corpus, monkeypatch, tmp_path):
+    _, d = corpus
+    split = data.SplitManifest.read_csv(os.path.join(d, "split.csv"))
+    calls = _count_calls(monkeypatch, (data, "read_image"), (data, "minmax_normalize"))
+    assert run_cli(["train", "--data", d, "--out", str(tmp_path / "t"), "--seed", "4",
+                    "--set", "train.epochs=1"]) == 0
+    # every file is decoded, so a bad one is still found
+    assert calls == {"read_image": 30,
+                     "minmax_normalize": len(split.train) + len(split.val)}
 
 
 def test_cached_parser_dispatches_to_the_current_command(explain_inputs, monkeypatch):

@@ -1,5 +1,6 @@
 """Image I/O, preprocessing, splitting, augmentation, synthetic corpus."""
 
+import collections
 import kernels_ref
 import numpy as np
 import pytest
@@ -282,38 +283,56 @@ def test_rotation_matches_reference_bytes(dtype):
                     assert got.tobytes() == want.tobytes(), case
 
 
-def test_rotation_plan_cache_is_bounded_and_reused():
-    cached = data._cached_rotation_plan
-    assert cached.cache_info().maxsize == 8
-    cached.cache_clear()
+def test_rotation_plan_cache_is_bounded_and_reused(monkeypatch):
+    built = []
+    build = data._build_rotation_plan
+    monkeypatch.setattr(data, "_build_rotation_plan",
+                        lambda *key: built.append(key) or build(*key))
+    monkeypatch.setattr(data, "_plans", collections.OrderedDict())
     rng = np.random.default_rng(12)
     for degrees in (13.0, 0.0, -0.0):
-        hits = cached.cache_info().hits
         for _ in range(2):
             img = rng.random((17, 16, 1))
             assert data.rotate_bilinear(img, degrees).tobytes() == \
                 kernels_ref.rotate_bilinear_reference(img, degrees).tobytes()
-        assert cached.cache_info().hits > hits
-    # -0.0 and 0.0 share a key because their plans are the same bits
-    fresh = data._build_rotation_plan
-    for a, b in zip(fresh(17, 16, 0.0), fresh(17, 16, -0.0)):
+    # one build per key: -0.0 and 0.0 share one because their plans are
+    # the same bits
+    assert built == [(17, 16, 13.0), (17, 16, 0.0)]
+    for a, b in zip(build(17, 16, 0.0), build(17, 16, -0.0)):
         assert a.tobytes() == b.tobytes()
-    for degrees in range(20):
-        data.rotate_bilinear(np.zeros((3, 3, 1)), float(degrees))
-    assert cached.cache_info().currsize == 8
-    plan = data._rotation_plan(3, 3, 19.0)
+    plan = data._rotation_plan(17, 16, 13.0)
     assert not any(a.flags.writeable for a in plan)
-    # 24 bytes a pixel, and only images up to the pixel limit are kept:
-    # the cache never holds more than 12 MiB
-    assert sum(a.nbytes for a in fresh(17, 16, 13.0)) == 24 * 17 * 16
-    assert 8 * 24 * data._PLAN_CACHE_PIXELS <= 12 << 20
-    misses = cached.cache_info().misses
-    img = rng.random((257, 256, 1))
+    assert data._plan_bytes(plan) == 24 * 17 * 16  # 24 bytes a pixel
+
+    # a bound of 3 plans of 17x16: the least recently used plan goes first
+    monkeypatch.setattr(data, "_PLAN_CACHE_BYTES", 3 * 24 * 17 * 16)
+    for degrees in (1.0, 2.0, 13.0, 3.0):
+        data._rotation_plan(17, 16, degrees)
+    assert list(data._plans) == [(17, 16, 2.0), (17, 16, 13.0), (17, 16, 3.0)]
+    # a plan larger than the bound is built on every call and evicts nothing
+    del built[:]
+    img = rng.random((33, 32, 1))
     for _ in range(2):
         assert data.rotate_bilinear(img, 13.0).tobytes() == \
             kernels_ref.rotate_bilinear_reference(img, 13.0).tobytes()
-    assert cached.cache_info().misses == misses
-    assert cached.cache_info().currsize == 8
+    assert built == [(33, 32, 13.0)] * 2
+    assert len(data._plans) == 3
+
+
+def test_rotation_plan_cache_keeps_a_512_corpus_plans(monkeypatch):
+    """The default bound holds the 4 plans of the default rotation set at
+    512x512, so a one-size 512x512 corpus builds each plan once."""
+    built = []
+    build = data._build_rotation_plan
+    monkeypatch.setattr(data, "_build_rotation_plan",
+                        lambda *key: built.append(key) or build(*key))
+    monkeypatch.setattr(data, "_plans", collections.OrderedDict())
+    degrees = data.AugmentConfig().rotation_set
+    for _ in range(2):
+        for d in degrees:
+            data._rotation_plan(512, 512, d)
+    assert built == [(512, 512, d) for d in degrees]
+    assert sum(map(data._plan_bytes, data._plans.values())) <= data._PLAN_CACHE_BYTES == 32 << 20
 
 
 def test_rng_consumption_contract():

@@ -1,11 +1,13 @@
 """Model graph: spec validation, forward/backward, serialization, presets."""
 
+import sys
+
 import kernels_ref
 import numpy as np
 import pytest
 
 from camnet import model as nn
-from camnet import ops
+from camnet import ops, tuning
 from camnet.errors import (
     BuildError,
     ShapeError,
@@ -256,6 +258,112 @@ def test_training_backward_matches_reference_kernels(monkeypatch):
         assert pa.keys() == pb.keys(), i
         for name in pa:
             assert pa[name].tobytes() == pb[name].tobytes(), (i, name)
+
+
+# ---------------------------------------------------------------------------
+# sharded train-mode steps
+
+# a Dropout in the conv stack, before and after the pool, and one in the head
+SHARDED = nn.ModelSpec(
+    (1, 6, 6),
+    (nn.Conv(2, 3, 1, 1), nn.ReLU(), nn.Dropout(0.25), nn.MaxPool2(), nn.Dropout(0.5),
+     nn.Flatten(), nn.Dense(4), nn.Dropout(0.5), nn.Dense(3), nn.SoftmaxOutput()),
+    ("a", "b", "c"),
+)
+
+
+def test_sharded_dropout_draws_the_whole_batch_stream():
+    """20 images run as shards of 8, 8 and 4; each Dropout's masks are
+    the slices of the block one whole-batch stream draws, layer after
+    layer, and the head's mask continues after the conv stack's."""
+    m = nn.build_model(SHARDED, 5)
+    x = np.random.default_rng(3).random((20, 1, 6, 6))
+    nn.forward(m, x, train_mode=True, dropout_seed=21, capture=True)
+    cache = m.cache
+    assert [len(c.activations[0]) for c in cache.shards] == [8, 8, 4]
+    assert cache.activations[:6] == [None] * 6 and cache.activations[6].shape == (20, 18)
+    with pytest.raises(ShapeError, match="kept per shard"):
+        m.activation_nchw(1)
+
+    stream = nn.Rng(21)
+    for i, shape in ((2, (20, 6, 6, 2)), (4, (20, 3, 3, 2)), (7, (20, 4))):
+        rate = SHARDED.layers[i].rate
+        keep = stream.uniform_block(int(np.prod(shape))).reshape(shape) >= rate
+        want = keep.astype(np.float64)
+        want /= 1.0 - rate
+        got = (cache.dropout_masks[i] if i == 7 else
+               np.concatenate([c.dropout_masks[i] for c in cache.shards]))
+        assert got.tobytes() == want.tobytes(), i
+
+
+def test_sharded_step_matches_finite_differences_and_the_whole_batch(monkeypatch):
+    """A float64 train-mode step on 20 images (3 shards, the last ragged)
+    gives parameter gradients within 1e-6 of finite differences, and the
+    probabilities of a whole-batch pass byte for byte."""
+    m = nn.build_model(SHARDED, 3)
+    x = np.random.default_rng(2).random((20, 1, 6, 6))
+    labels = np.arange(20) % 3
+
+    def loss_fn():
+        probs = nn.forward(m, x, train_mode=True, dropout_seed=8, capture=True)
+        return float(-np.log(probs[np.arange(20), labels]).mean())
+
+    probs = nn.forward(m, x, train_mode=True, dropout_seed=8, capture=True)
+    assert len(m.cache.shards) == 3
+    upstream = probs.copy()
+    upstream[np.arange(20), labels] -= 1.0
+    grads = nn.backward(m, upstream / 20.0, need_input_grad=True)
+    assert grads.activations[0].shape == (20, 6, 6, 1)
+    assert all(g is None for g in grads.activations[1:6])
+    for li, name, p in m.param_items():
+        def probe(v, li=li, name=name, p=p):
+            saved = p.copy()
+            p[...] = v
+            out = loss_fn()
+            p[...] = saved
+            return out
+        fd = ops.finite_diff_grad(probe, p)
+        assert ops.max_rel_error(grads.params[li][name], fd) <= 1e-6, (li, name)
+
+    monkeypatch.setattr(nn, "SHARD", 20)
+    whole_probs = nn.forward(m, x, train_mode=True, dropout_seed=8, capture=True)
+    assert m.cache.shards == []
+    whole = nn.backward(m, upstream / 20.0, need_input_grad=True)
+    assert whole_probs.tobytes() == probs.tobytes()
+    assert whole.activations[0].tobytes() == grads.activations[0].tobytes()
+    for li, name, _ in m.param_items():
+        assert ops.max_rel_error(grads.params[li][name], whole.params[li][name],
+                                 atol=1e-15) <= 1e-12, (li, name)
+
+
+def test_sharded_step_bytes_under_more_workers_than_cores(monkeypatch):
+    """5 shards on 4 workers, with threads switching every 10 us, give
+    the probabilities and gradients of one worker byte for byte."""
+    m = nn.build_model(SHARDED, 7)
+    x = np.random.default_rng(4).random((40, 1, 6, 6))
+    upstream = np.random.default_rng(5).standard_normal((40, 3))
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (1, 4):
+            monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
+            sys.setswitchinterval(1e-5)
+            probs = nn.forward(m, x, train_mode=True, dropout_seed=2, capture=True)
+            grads = nn.backward(m, upstream)
+            results.append([probs.tobytes(), grads.activations[0].tobytes()] +
+                           [a.tobytes() for p in grads.params for a in p.values()])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1]
+
+
+def test_predict_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    m = nn.build_model(nn.preset("vgg-nano", input_hw=(32, 32)), 6)
+    x = np.random.default_rng(14).random((10, 1, 32, 32))
+    monkeypatch.setattr(tuning, "workers", lambda: 1)
+    want = nn.predict(m, x)
+    monkeypatch.setattr(tuning, "workers", lambda: 2)
+    assert nn.predict(m, iter(x)).tobytes() == want.tobytes()
 
 
 def test_eval_forward_gives_unbanded_probability_bytes(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from camnet import data, model as nn, ops, optim
+from camnet import data, model as nn, ops, optim, tuning
 from camnet.errors import DataError
 
 
@@ -107,6 +107,29 @@ def test_sgd_step():
     optim.optimizer_step("sgd", m, grads, optim.init_opt_state(m, "sgd"), lr=0.25)
     for _, _, p in m.param_items():
         assert np.allclose(p, 0.5, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+def test_optimizer_step_bytes_do_not_depend_on_pieces_or_workers(monkeypatch, kind):
+    """A Dense of 70000 weights is updated in 3 pieces on 2 workers, with
+    the bytes of one piece per parameter on one worker."""
+    spec = nn.ModelSpec((1, 10, 10), (nn.Conv(1, 1), nn.Flatten(), nn.Dense(700),
+                                      nn.Dense(3), nn.SoftmaxOutput()), ("a", "b", "c"))
+    results = []
+    for chunk, workers in ((10**9, 1), (optim.UPDATE_CHUNK, 2)):
+        monkeypatch.setattr(optim, "UPDATE_CHUNK", chunk)
+        monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
+        m = nn.build_model(spec, 4)
+        state = optim.init_opt_state(m, kind)
+        for step in range(3):
+            draw = np.random.default_rng(step).standard_normal
+            grads = nn.Gradients([{k: draw(a.shape).astype(np.float32)
+                                   for k, a in p.items()} for p in m.params], [])
+            optim.optimizer_step(kind, m, grads, state, lr=1e-3)
+        results.append([a.tobytes() for _, _, a in m.param_items()] +
+                       [np.asarray(v).tobytes() for k, v in state.items() if k != "t"])
+    assert m.params[2]["weights"].size > 2 * optim.UPDATE_CHUNK
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +307,24 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
         want = g64.params[li][name]
         err = np.abs(g32.params[li][name] - want).max() / np.abs(want).max()
         assert err <= GRAD_RTOL, (li, name, err)
+
+
+def test_train_pins_blas_to_one_thread(monkeypatch):
+    """Wherever the pin is available, BLAS runs one thread inside train,
+    and the count from before is restored afterwards."""
+    before = tuning.blas_threads()
+    if before is None:
+        pytest.skip("this BLAS cannot report or pin its thread count")
+    seen = []
+    sparse_ce = optim.sparse_ce
+    monkeypatch.setattr(optim, "sparse_ce", lambda *a: seen.append(
+        tuning.blas_threads()) or sparse_ce(*a))
+    tr, va = _tiny_sets()
+    optim.train(_tiny_model(), tr, va, optim.TrainConfig(epochs=1, batch_size=4, seed=1))
+    assert seen and set(seen) == {1}
+    assert tuning.blas_threads() == before
+    with tuning.one_blas_thread():
+        with tuning.one_blas_thread():
+            pass
+        assert tuning.blas_threads() == 1  # re-entrant: the inner exit keeps the pin
+    assert tuning.blas_threads() == before

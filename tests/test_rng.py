@@ -100,3 +100,14 @@ def test_gaussian_tail_is_finite():
     vals = Rng(77).normal_block(4096)
     assert np.isfinite(vals).all()
     assert math.isfinite(Rng(77).normal())
+
+
+def test_stream_start_continues_the_stream():
+    whole = Rng(31).uniform_block(50)
+    for start in (0, 1, 17, 49):
+        assert Rng(31, start).uniform_block(50 - start).tobytes() == whole[start:].tobytes()
+    r = Rng(31)
+    r.uniform_block(17)
+    assert Rng(31, 17).next_u64() == r.next_u64()
+    with pytest.raises(ValueError):
+        Rng(31, -1)
