@@ -12,16 +12,25 @@ U x V, Z = U*V).  The raw map is bilinearly upsampled to the input size
 and divided by its max (an identically-zero map stays zero).
 
 The class score Y_c defaults to the pre-softmax logit; softmax
-probability and exp(logit) scores are available via CamConfig.
+probability and exp(logit) scores are available via CamConfig.  Each
+score kind is defined once, in one table (`_score_terms`): its gradient
+g = dY_c/dz and Hessian S = d2Y_c/dz^2 in the logits z, read from the
+capture's logits and the softmax probabilities p it already holds:
 
-The Hessian diagonal of gradcam_pp has one closed form.  Every layer
-(Conv, ReLU, MaxPool2, Flatten, Dense, eval-mode Dropout) is piecewise
-linear, so near the input the logits are z = J a in the target
-activations a, and d2Y/dA^2 = diag(J^T S J) = sum_kl S_kl J_k J_l, with
-S = d2Y/dz^2 and J_k the gradient of logit k (one backward pass).  S is 0
-for logit, exp(z_c) e_c e_c^T for exp_logit (the Grad-CAM++ paper's own
-closed form) and the softmax Hessian for probability.  A layer type that
-is not piecewise linear would make this formula wrong.
+    logit        g = e_c                  S = 0
+    exp_logit    g = exp(z_c) e_c         S = exp(z_c) e_c e_c^T
+    probability  g = p_c (e_c - p)        S = p_c ((e_c - p)(e_c - p)^T
+                                                   - diag(p) + p p^T)
+
+Every layer (Conv, ReLU, MaxPool2, Flatten, Dense, eval-mode Dropout) is
+piecewise linear, so near the input the logits are z = J a in the target
+activations a, and with J_k the gradient of logit k (one backward pass)
+
+    dY/dA     = sum_k g_k J_k
+    d2Y/dA^2  = diag(J^T S J) = sum_kl S_kl J_k J_l
+
+which for exp_logit is the Grad-CAM++ paper's own closed form.  A layer
+type that is not piecewise linear would make the second formula wrong.
 
 Work per explain: `capture` runs the one eval-mode capture forward, whose
 cache gives the predicted class and feeds every method called with it as
@@ -29,11 +38,10 @@ cache gives the predicted class and feeds every method called with it as
 backward pass stops at the output of the target layer and computes no
 parameter gradient, so no layer below the target is visited.
 
-Rows per capture: every score gradient is a combination of the logit
-rows J_k at the target, J_c for logit, exp(z_c) J_c for exp_logit and
-sum_k dp_c/dz_k J_k for probability, and the Hessian diagonal above is
-made of the same rows.  Each row is one one-row backward, run at most
-once per (target layer, k) and kept read-only in the capture's
+Rows per capture: both sums above read only the logit rows J_k in the
+support of g and S, J_c for logit and exp_logit and every class for
+probability.  Each row is one one-row backward, run at most once per
+(target layer, k) and kept read-only in the capture's
 `ForwardCache.logit_rows`, so `gradcam` and `gradcam_pp` on one capture
 share them: one backward for the logit and exp_logit scores and one per
 class for probability, whichever methods run.
@@ -100,18 +108,13 @@ def capture(model: nn.Model, image) -> nn.ForwardCache:
     return model.cache
 
 
-def _logits(model: nn.Model, cache: nn.ForwardCache) -> np.ndarray:
-    """Pre-softmax logits (1, K) of a capture."""
-    return cache.activations[len(model.spec.layers) - 1]
-
-
 def _logit_row(model: nn.Model, cache: nn.ForwardCache, idx: int, k: int) -> np.ndarray:
     """J_k = dlogit_k/dA at layer idx's output, (C, U, V), read-only.  The
     first call per (idx, k) on a capture runs one backward that stops there
     and computes no parameter gradient; later calls return the same array."""
     row = cache.logit_rows.get((idx, k))
     if row is None:
-        e = np.zeros(_logits(model, cache).shape)
+        e = np.zeros(cache.activations[-2].shape)
         e[0, k] = 1.0
         grads = nn.backward(model, e, stop=idx + 1, need_param_grads=False,
                             cache=cache)
@@ -121,50 +124,42 @@ def _logit_row(model: nn.Model, cache: nn.ForwardCache, idx: int, k: int) -> np.
     return row
 
 
-def _score_logit_grad(logits: np.ndarray, class_index: int, kind: str) -> np.ndarray:
-    """d(score)/d(logits), shape (1, K)."""
-    k = logits.shape[1]
-    g = np.zeros((1, k))
+def _score_terms(cache: nn.ForwardCache, class_index: int, kind: str):
+    """d(score)/dz (K,) and d2(score)/dz^2 (K, K) at the capture's logits z
+    (activations[-2]), with p = softmax(z) the probabilities it holds."""
+    z, p = cache.activations[-2][0], cache.activations[-1][0]
+    k = z.shape[0]
+    g, s = np.zeros(k), np.zeros((k, k))
     if kind == "logit":
-        g[0, class_index] = 1.0
-    elif kind == "probability":
-        z = logits[0]
-        e = np.exp(z - z.max())
-        p = e / e.sum()
-        g[0] = -p[class_index] * p
-        g[0, class_index] += p[class_index]
+        g[class_index] = 1.0
     elif kind == "exp_logit":
-        g[0, class_index] = np.exp(logits[0, class_index])
-    else:
-        raise BuildError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
-    return g
-
-
-def _score_logit_hessian(logits: np.ndarray, class_index: int, kind: str) -> np.ndarray:
-    """d2(score)/d(logits)^2, shape (K, K)."""
-    k = logits.shape[1]
-    s = np.zeros((k, k))
-    if kind == "probability":
-        e = np.exp(logits[0] - logits.max())
-        p = e / e.sum()
+        g[class_index] = s[class_index, class_index] = np.exp(z[class_index])
+    elif kind == "probability":
+        g = -p[class_index] * p  # p_c (e_c - p) would round differently at c
+        g[class_index] += p[class_index]
         d = np.eye(k)[class_index] - p
         s = p[class_index] * (np.outer(d, d) - (np.diag(p) - np.outer(p, p)))
-    elif kind == "exp_logit":
-        s[class_index, class_index] = np.exp(logits[0, class_index])
-    elif kind != "logit":
+    else:
         raise BuildError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
-    return s
+    return g, s
+
+
+def _setup(model: nn.Model, image, cfg: CamConfig | None, cache: nn.ForwardCache | None):
+    """The config (default CamConfig()), the resolved target layer and the
+    capture (`cache`, or a capture of `image`) of one saliency call."""
+    cfg = cfg or CamConfig()
+    return cfg, _resolve_target(model, cfg), cache or capture(model, image)
 
 
 def _score_grad(model: nn.Model, cache: nn.ForwardCache, idx: int, class_index: int,
                 kind: str) -> np.ndarray:
     """dY_c/dA at layer idx's output as the combination of logit rows
-    sum_k dY_c/dz_k J_k.  The logit score returns J_c itself, read-only."""
+    sum_k g_k J_k.  The logit score returns J_c itself, read-only."""
     if kind == "logit":
         return _logit_row(model, cache, idx, class_index)
-    g = _score_logit_grad(_logits(model, cache), class_index, kind)[0]
-    zero = np.zeros_like(cache.activation_nchw(idx + 1)[0])
-    return sum((g[k] * _logit_row(model, cache, idx, k) for k in np.flatnonzero(g)), zero)
+    g, _ = _score_terms(cache, class_index, kind)
+    return sum((g[k] * _logit_row(model, cache, idx, k) for k in np.flatnonzero(g)),
+               np.zeros(model.layer_shapes[idx]))
 
 
 def grad_wrt_activations(model: nn.Model, image, class_index: int,
@@ -176,9 +171,7 @@ def grad_wrt_activations(model: nn.Model, image, class_index: int,
     captures the image itself when cache is None.  For the logit score the
     result is the capture's memoised row J_c, which is read-only.
     """
-    cfg = cfg or CamConfig()
-    idx = _resolve_target(model, cfg)
-    cache = cache or capture(model, image)
+    cfg, idx, cache = _setup(model, image, cfg, cache)
     return _score_grad(model, cache, idx, class_index, cfg.score_kind)
 
 
@@ -196,9 +189,7 @@ def _combine(model: nn.Model, cache: nn.ForwardCache, idx: int, alpha: np.ndarra
 def gradcam(model: nn.Model, image, class_index: int,
             cfg: CamConfig | None = None, cache: nn.ForwardCache | None = None):
     """Gradient-averaged channel weights: alpha_k = mean_ij dY/dA_kij."""
-    cfg = cfg or CamConfig()
-    idx = _resolve_target(model, cfg)
-    cache = cache or capture(model, image)
+    cfg, idx, cache = _setup(model, image, cfg, cache)
     g = grad_wrt_activations(model, image, class_index, cfg, cache)
     return _combine(model, cache, idx, g.mean(axis=(1, 2)), class_index, "gradcam")
 
@@ -209,21 +200,17 @@ def hessian_diag(model: nn.Model, image, class_index: int,
     """Diagonal of d2Y_c/dA^2 at the target layer, shape (K, U, V), by the
     closed form of the module docstring: one logit row per class in the
     support of S, on `cache` or on a capture of `image` when cache is None."""
-    cfg = cfg or CamConfig()
-    idx = _resolve_target(model, cfg)
-    cache = cache or capture(model, image)
-    s = _score_logit_hessian(_logits(model, cache), class_index, cfg.score_kind)
+    cfg, idx, cache = _setup(model, image, cfg, cache)
+    _, s = _score_terms(cache, class_index, cfg.score_kind)
     rows = {k: _logit_row(model, cache, idx, k) for k in np.flatnonzero(s.any(axis=0))}
-    zero = np.zeros_like(cache.activation_nchw(idx + 1)[0])
-    return sum((s[k, l] * rows[k] * rows[l] for k in rows for l in rows), zero)
+    return sum((s[k, l] * rows[k] * rows[l] for k in rows for l in rows),
+               np.zeros(model.layer_shapes[idx]))
 
 
 def gradcam_pp(model: nn.Model, image, class_index: int,
                cfg: CamConfig | None = None, cache: nn.ForwardCache | None = None):
     """Channel weights alpha_k = (1/Z) sum_ij (d2Y/dA^2 + 2 dY/dA)."""
-    cfg = cfg or CamConfig()
-    idx = _resolve_target(model, cfg)
-    cache = cache or capture(model, image)
+    cfg, idx, cache = _setup(model, image, cfg, cache)
     hess = hessian_diag(model, image, class_index, cfg, cache)
     g = _score_grad(model, cache, idx, class_index, cfg.score_kind)
     alpha = (hess + 2.0 * g).mean(axis=(1, 2))

@@ -176,7 +176,6 @@ def cmd_split(args):
 def cmd_augment(args):
     configs = load_run_config(args.config, args.set or ())
     aug = configs["augment"]
-    aug.seed = args.seed
     ds = datalib.list_directory(args.data)  # one image in memory at a time
     os.makedirs(args.out, exist_ok=True)
     for i, path in enumerate(ds.paths):
@@ -188,7 +187,8 @@ def cmd_augment(args):
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         datalib.write_image(dst, datalib.f_to_u8(out_img))
     write_run_manifest(args.out, {"augment": aug},
-                       {"command": "augment", "data": args.data, "out": args.out})
+                       {"command": "augment", "data": args.data, "out": args.out,
+                        "seed": args.seed})
     print(f"augmented {len(ds)} images into {args.out}")
 
 
@@ -231,7 +231,6 @@ def cmd_train(args):
     weight_path = os.path.join(args.out, "model.camf")
     report_path = os.path.join(args.out, "train_report.csv")
     nn.save_weights(model, weight_path)
-    report.weight_path = weight_path
     report.write_csv(report_path)
     write_run_manifest(args.out, configs, {
         "command": "train", "data": args.data, "manifest": manifest_path,
@@ -398,8 +397,9 @@ def build_parser():
     sp = sub.add_parser("train", help="train a model and write weights + report")
     sp.add_argument("--data", required=True)
     sp.add_argument("--manifest")
-    sp.add_argument("--preset", default="vgg-nano")
-    sp.add_argument("--spec", help="file holding a canonical model spec line")
+    model_spec = sp.add_mutually_exclusive_group()
+    model_spec.add_argument("--preset", default="vgg-nano")
+    model_spec.add_argument("--spec", help="file holding a canonical model spec line")
     sp.add_argument("--out", default="run")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--config")

@@ -216,8 +216,7 @@ class SplitManifest:
                 w.writerow((i, p, dataset.labels[i], names[i]))
 
     @staticmethod
-    def read_csv(path, seed: int = 0, dataset: LabeledDataset | None = None
-                 ) -> "SplitManifest":
+    def read_csv(path, dataset: LabeledDataset | None = None) -> "SplitManifest":
         """Read a manifest written by write_csv.
 
         With `dataset`, every row must still name the same item of it: the
@@ -247,7 +246,7 @@ class SplitManifest:
                         f"{where}: index {i} names {want} (label {label}), but the "
                         f"data directory has {have} (label {dataset.labels[i]}) "
                         "there; run camnet split again")
-        return SplitManifest(splits["train"], splits["val"], splits["test"], seed, {})
+        return SplitManifest(splits["train"], splits["val"], splits["test"], 0, {})
 
 
 def _item_name(path) -> str:
@@ -332,7 +331,6 @@ class AugmentConfig:
     brightness_delta: float = 0.24
     rotation_set: tuple = (-13.0, -9.0, 9.0, 13.0)
     flip_probability: float = 0.5
-    seed: int = 0
 
 
 def hflip(img: np.ndarray) -> np.ndarray:

@@ -272,10 +272,6 @@ def _conv_input_grad_stride1(weights, pad, grad_out, x_shape):
     return grad_x
 
 
-
-
-
-
 def _windows(x):
     """x (N,H,W,C) as (N, H/2, 2, W/2, 2, C); [:, :, di, :, dj] is one
     window position."""
@@ -318,10 +314,6 @@ def maxpool2_backward_nhwc(x, grad_out, out=None) -> np.ndarray:
         free ^= hit
         np.multiply(g_bits, hit, out=gv[:, :, di, :, dj])
     return grad_x
-
-
-
-
 
 
 def dense(x, weights, bias) -> np.ndarray:

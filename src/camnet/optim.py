@@ -68,7 +68,6 @@ class EpochRow:
 @dataclass
 class TrainReport:
     rows: list = field(default_factory=list)
-    weight_path: str | None = None
 
     CSV_HEADER = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "seconds")
 

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from camnet import cam, model as nn, ops
+from camnet import model as nn, ops
 
 
 def conv2d_reference(x, weights, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -177,7 +177,18 @@ def rotate_bilinear_reference(img, degrees: float, fill: float = 0.0):
 def score_grad_reference(model, cache, idx, class_index, kind):
     """dY_c/dA at layer idx's output, (C, U, V), as `cam` computed it
     before it formed score gradients from memoised logit rows: one stopped
-    backward of d(score)/d(logits) per call."""
-    g = cam._score_logit_grad(cam._logits(model, cache), class_index, kind)
+    backward of d(score)/d(logits) per call.  That upstream is written here
+    from the captured logits z, apart from `cam`'s score table: e_c for
+    logit, exp(z_c) e_c for exp_logit and p_c (e_c - p) for probability."""
+    z = cache.activations[-2]
+    e_c = np.eye(z.shape[1])[class_index][None]
+    if kind == "logit":
+        g = e_c
+    elif kind == "exp_logit":
+        g = np.exp(z[0, class_index]) * e_c
+    else:  # probability
+        e = np.exp(z - z.max())
+        p = e / e.sum()
+        g = p[0, class_index] * (e_c - p)
     grads = nn.backward(model, g, stop=idx + 1, need_param_grads=False, cache=cache)
     return grads.activation_nchw(idx + 1)[0]

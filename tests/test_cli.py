@@ -94,6 +94,13 @@ def test_usage_error_exit_code():
     assert run_cli([]) == 1
 
 
+def test_preset_and_spec_are_mutually_exclusive(capsys):
+    for argv in (["--preset", "vgg-micro", "--spec", "model.spec"],
+                 ["--spec", "model.spec", "--preset", "vgg-nano"]):
+        assert run_cli(["train", "--data", "data"] + argv) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(corpus):
     _, d = corpus
     assert run_cli(["train", "--data", d, "--set", "train.bogus=1"]) == 1
@@ -187,6 +194,10 @@ BAD_INPUTS = [
     (["augment", "--data", "{root}", "--out", "{root}/aug", "--set",
       "augment.rotation_set=9,x"], 1,
      "augment.rotation_set: expected a number, got '9,x'"),
+    (["augment", "--data", "{root}", "--out", "{root}/aug", "--set", "augment.seed=5"], 1,
+     "unknown config key 'augment.seed'"),
+    (EXPLAIN + ["cam.score_kind=bogus"], 2,
+     "unknown score kind 'bogus'; valid: ('logit', 'probability', 'exp_logit')"),
     (EXPLAIN + ["cam.target_layer=abc"], 1,
      "cam.target_layer: expected an integer, got 'abc'"),
     (EXPLAIN + ["cam.hessian=fd"], 1, "unknown config key 'cam.hessian'"),
@@ -499,6 +510,7 @@ def test_augment_command(corpus, tmp_path):
     _, d = corpus
     out = str(tmp_path / "aug")
     assert run_cli(["augment", "--data", d, "--out", out, "--seed", "1"]) == 0
+    assert "seed=1" in open(os.path.join(out, "run.txt")).read().splitlines()
     a = data.load_directory(d)
     b = data.load_directory(out)
     assert len(a) == len(b)
