@@ -1,9 +1,11 @@
 """Command-line surface: synth | split | augment | train | eval | explain | gradcheck.
 
 Configuration is a plain key=value file (one per line, # comments) plus
-repeated --set overrides; every train.*, augment.*, and cam.* field is
-addressable.  Each run writes a run.txt manifest with the fully resolved
-configuration and artifact paths.
+repeated --set overrides.  Each command reads only its own sections:
+train reads train.* (and augment.* with --augment), augment reads
+augment.*, explain reads cam.*; a key of any other section is an error.
+Each run writes a run.txt manifest with the resolved configuration it
+read and its artifact paths.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error,
 3 verification failure (gradcheck).
@@ -46,12 +48,6 @@ class _Parser(argparse.ArgumentParser):
 # run configuration
 
 def _coerce(key: str, value: str, current):
-    if isinstance(current, bool):
-        if value.lower() in ("1", "true", "on", "yes"):
-            return True
-        if value.lower() in ("0", "false", "off", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
     integer = isinstance(current, int) or current is None  # None: cam.target_layer
     try:
         if integer:
@@ -66,9 +62,11 @@ def _coerce(key: str, value: str, current):
     return value
 
 
-def load_run_config(config_path=None, overrides=()):
-    """Resolve {section: config dataclass} from a file plus --set overrides."""
-    configs = {name: cls() for name, cls in SECTIONS.items()}
+def load_run_config(sections, config_path=None, overrides=()):
+    """Resolve {section: config dataclass}, for the named SECTIONS only,
+    from a file plus --set overrides.  A key of another section is a
+    ConfigError."""
+    configs = {name: SECTIONS[name]() for name in sections}
     pairs = []
     if config_path:
         with open(config_path) as f:
@@ -103,7 +101,7 @@ def write_run_manifest(out_dir, configs, extras):
         for f in dataclasses.fields(configs[section]):
             v = getattr(configs[section], f.name)
             if isinstance(v, tuple):
-                v = ",".join(f"{x:g}" for x in v)
+                v = ",".join(nn.format_arg(x) for x in v)
             lines.append(f"{section}.{f.name}={v}")
     for k, v in extras.items():
         lines.append(f"{k}={v}")
@@ -174,8 +172,7 @@ def cmd_split(args):
 
 
 def cmd_augment(args):
-    configs = load_run_config(args.config, args.set or ())
-    aug = configs["augment"]
+    aug = load_run_config(("augment",), args.config, args.set or ())["augment"]
     ds = datalib.list_directory(args.data)  # one image in memory at a time
     os.makedirs(args.out, exist_ok=True)
     for i, path in enumerate(ds.paths):
@@ -201,14 +198,12 @@ def _model_spec_for(args, class_names, input_hw, channels):
 
 
 def cmd_train(args):
-    configs = load_run_config(args.config, args.set or ())
+    configs = load_run_config(("train", "augment") if args.augment else ("train",),
+                              args.config, args.set or ())
     tc = configs["train"]
     if args.seed is not None:
         tc.seed = args.seed
-    # every file is decoded, so a bad one fails as in load_directory, but
-    # only the train and val rows are normalized
-    ds = datalib.list_directory(args.data)
-    ds.images = [datalib.read_image(p) for p in ds.paths]
+    ds = datalib.load_directory(args.data)
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
     manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
     train_set = ds.subset(manifest.train)
@@ -219,13 +214,7 @@ def cmd_train(args):
     h, w, c = ds.image_shape()
     spec = _model_spec_for(args, ds.class_names, (h, w), c)
     model = nn.build_model(spec, init_seed=tc.seed)
-
-    augment = None
-    if args.augment:
-        aug_cfg = configs["augment"]
-        augment = datalib.make_augmenter(aug_cfg)
-
-    report = optim.train(model, train_set, val_set, tc, augment=augment)
+    report = optim.train(model, train_set, val_set, tc, augment=configs.get("augment"))
 
     os.makedirs(args.out, exist_ok=True)
     weight_path = os.path.join(args.out, "model.camf")
@@ -247,8 +236,8 @@ def cmd_eval(args):
     """Score the manifest's test rows; write confusion.csv, metrics.csv and
     run.txt.
 
-    Every corpus file is decoded, so a bad one fails as in load_directory,
-    but only the test rows are normalized and scored, through
+    Every corpus file is decoded, so a bad one fails as in train, but only
+    the test rows are normalized and scored, through
     model.predict: a per-image conv stack, then one dense head pass per
     chunk of images.  A corpus whose class count, image shape or class
     names differ from the model's, and a manifest with no test rows, are
@@ -256,8 +245,7 @@ def cmd_eval(args):
     """
     start = time.perf_counter()
     model = nn.load_weights(None, args.weights)
-    ds = datalib.list_directory(args.data)
-    ds.images = [datalib.read_image(p) for p in ds.paths]
+    ds = datalib.load_directory(args.data)
     manifest_path = args.manifest or os.path.join(args.data, "split.csv")
     manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
     _check_corpus_fits(model, ds, args)
@@ -334,8 +322,7 @@ def cmd_explain(args):
     class_index = args.class_index if args.class_index is not None else int(probs.argmax())
     class_name = model.spec.class_names[class_index]
 
-    configs = load_run_config(args.config, args.set or ())
-    cfg = configs["cam"]
+    cfg = load_run_config(("cam",), args.config, args.set or ())["cam"]
     methods = ["gradcam", "gradcam_pp"] if args.method == "both" else [args.method]
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.image))

@@ -159,7 +159,7 @@ def minmax_normalize(img: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LabeledDataset:
-    images: list  # ImageF arrays (or None when paths are used lazily)
+    images: list  # ImageU8 or ImageF arrays (None when paths are used lazily)
     labels: list
     class_names: list
     paths: list = field(default_factory=list)
@@ -196,18 +196,10 @@ class SplitManifest:
     train: list
     val: list
     test: list
-    seed: int
-    per_class_counts: dict  # label -> (n_train, n_val, n_test)
-
-    def split_of(self) -> dict:
-        out = {}
-        for name, idxs in (("train", self.train), ("val", self.val), ("test", self.test)):
-            for i in idxs:
-                out[i] = name
-        return out
 
     def write_csv(self, path, dataset: LabeledDataset) -> None:
-        names = self.split_of()
+        names = {i: name for name, idxs in (("train", self.train), ("val", self.val),
+                                            ("test", self.test)) for i in idxs}
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(("index", "path", "label", "split"))
@@ -222,9 +214,11 @@ class SplitManifest:
         With `dataset`, every row must still name the same item of it: the
         index in range, the same label and the same file, compared as
         class directory and file name so that the data root may be spelled
-        differently.  A stale or malformed row is a DataError naming it.
+        differently.  A stale or malformed row, or a second row for an
+        index, is a DataError naming it.
         """
         splits = {"train": [], "val": [], "test": []}
+        seen = set()
         with open(path, newline="") as f:
             rows = csv.DictReader(f)
             for row in rows:
@@ -234,6 +228,10 @@ class SplitManifest:
                     splits[row["split"]].append(i)
                 except (KeyError, TypeError, ValueError) as e:
                     raise DataError(f"{where}: malformed row: {e!r}") from None
+                if i in seen:
+                    raise DataError(f"{where}: index {i} is listed twice; "
+                                    "run camnet split again")
+                seen.add(i)
                 if dataset is None:
                     continue
                 if not 0 <= i < len(dataset):
@@ -246,7 +244,7 @@ class SplitManifest:
                         f"{where}: index {i} names {want} (label {label}), but the "
                         f"data directory has {have} (label {dataset.labels[i]}) "
                         "there; run camnet split again")
-        return SplitManifest(splits["train"], splits["val"], splits["test"], 0, {})
+        return SplitManifest(splits["train"], splits["val"], splits["test"])
 
 
 def _item_name(path) -> str:
@@ -275,7 +273,6 @@ def stratified_split(dataset: LabeledDataset, ratios=(0.8, 0.1, 0.1),
 
     rng = Rng(seed)
     train, val, test = [], [], []
-    counts = {}
     for c in range(k):
         idxs = by_class[c]
         if len(idxs) < 3:
@@ -287,8 +284,7 @@ def stratified_split(dataset: LabeledDataset, ratios=(0.8, 0.1, 0.1),
         test.extend(idxs[:n_test])
         val.extend(idxs[n_test:n_test + n_val])
         train.extend(idxs[n_test + n_val:])
-        counts[c] = (n - n_val - n_test, n_val, n_test)
-    return SplitManifest(sorted(train), sorted(val), sorted(test), seed, counts)
+    return SplitManifest(sorted(train), sorted(val), sorted(test))
 
 
 def list_directory(root) -> LabeledDataset:
@@ -312,12 +308,10 @@ def list_directory(root) -> LabeledDataset:
 
 
 def load_directory(root) -> LabeledDataset:
-    """Load `<root>/<class_name>/*.pgm` with classes in alphabetical order.
-
-    Images are min-max normalized to ImageF on load.
-    """
+    """`list_directory` with every image decoded to an ImageU8, so a bad
+    file fails here; callers normalize only the images they use."""
     ds = list_directory(root)
-    ds.images = [minmax_normalize(read_image(p)) for p in ds.paths]
+    ds.images = [read_image(p) for p in ds.paths]
     return ds
 
 
@@ -448,11 +442,6 @@ def augment_chain(img: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     angle = cfg.rotation_set[rng.randint(len(cfg.rotation_set))]
     out = rotate_bilinear(out, angle)
     return np.clip(out, 0.0, 1.0)
-
-
-def make_augmenter(cfg: AugmentConfig):
-    """Adapter with the (image, rng) signature the training loop expects."""
-    return lambda img, rng: augment_chain(img, cfg, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class _Layer:
     token = ""
 
     def canonical(self) -> str:
-        args = [_format_arg(getattr(self, f.name)) for f in fields(self)]
+        args = [format_arg(getattr(self, f.name)) for f in fields(self)]
         return f"{self.token}({','.join(args)})" if args else self.token
 
     def out_shape(self, shape: tuple) -> tuple:
@@ -81,8 +81,9 @@ class _Layer:
         return None
 
 
-def _format_arg(v) -> str:
-    # floats print as %g, as in Dropout(0.5), unless %g would round them
+def format_arg(v) -> str:
+    """`v` as a spec token or run.txt value: a float prints as %g, as in
+    Dropout(0.5), unless %g would round it, so the text reads back as `v`."""
     if isinstance(v, float) and float(f"{v:g}") == v:
         return f"{v:g}"
     return str(v)

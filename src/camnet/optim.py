@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from . import model as nn
 from . import tuning
 from .errors import DataError, DivergenceError, ShapeError
@@ -32,6 +33,9 @@ from .rng import Rng, derive_seed
 
 OPTIMIZERS = ("adam", "adagrad", "sgd")
 COMPUTE_DTYPE = np.dtype(np.float32)  # of train's forward and backward passes
+# Adam's published defaults (Kingma & Ba, arXiv:1412.6980); EPS also
+# keeps Adagrad's denominator off zero
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -40,11 +44,7 @@ class TrainConfig:
     learning_rate: float = 1e-4  # paper-tuned range [1e-5, 1e-3]
     batch_size: int = 32
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self):
         if self.learning_rate < 0:
@@ -121,7 +121,7 @@ UPDATE_CHUNK = 32768
 
 
 def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
-                   lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+                   lr: float) -> None:
     """In-place parameter update; state mutated accordingly.  Gradients of
     a lower precision are upcast (exactly) to the parameters' dtype first.
 
@@ -158,19 +158,19 @@ def optimizer_step(kind: str, model: nn.Model, grads: nn.Gradients, state: dict,
         elif kind == "adagrad":
             acc, = acc
             acc += g * g
-            p -= lr * g / (np.sqrt(acc) + eps)
+            p -= lr * g / (np.sqrt(acc) + EPS)
         else:
             m, v = acc
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
             # p -= lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected
             # m_hat, v_hat; written with one temporary to limit churn
-            denom = np.sqrt(v / (1 - beta2**t))
-            denom += eps
+            denom = np.sqrt(v / (1 - BETA2**t))
+            denom += EPS
             np.divide(m, denom, out=denom)
-            denom *= lr / (1 - beta1**t)
+            denom *= lr / (1 - BETA1**t)
             p -= denom
 
     tuning.parallel_map(update, pieces)
@@ -207,8 +207,8 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
     optimizer updates.
 
     train_set / val_set are data.LabeledDataset instances.  When `augment`
-    is a (chain_fn, config) style callable taking (image, rng), each train
-    image is transformed per epoch with an rng derived from
+    is a data.AugmentConfig, each train image goes through
+    data.augment_chain per epoch with an rng derived from
     (config.seed, epoch, item index); validation data is never augmented.
     """
     tuning.keep_malloc_pages()
@@ -230,8 +230,7 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             order = list(range(n))
-            if config.shuffle:
-                Rng(config.seed ^ epoch).shuffle(order)
+            Rng(config.seed ^ epoch).shuffle(order)
 
             epoch_loss = 0.0
             epoch_correct = 0
@@ -239,7 +238,8 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
                 idx = order[start:start + config.batch_size]
                 imgs = [train_set.images[i] for i in idx]
                 if augment is not None:
-                    imgs = [augment(im, Rng(derive_seed(config.seed, epoch, i)))
+                    imgs = [data.augment_chain(im, augment,
+                                               Rng(derive_seed(config.seed, epoch, i)))
                             for im, i in zip(imgs, idx)]
                 x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])  # (N, C, H, W)
                 y = [train_set.labels[i] for i in idx]
@@ -252,8 +252,7 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
                     raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b}")
                 grads = nn.backward(work, dlogits, need_input_grad=False)
                 optimizer_step(config.optimizer, model, grads, state,
-                               config.learning_rate, config.beta1, config.beta2,
-                               config.eps)
+                               config.learning_rate)
                 _refresh(work, model)
                 work.cache = grads = None  # freed before the next forward builds its own
                 epoch_loss += loss * len(y)

@@ -1,5 +1,6 @@
 """CLI subcommand flows on a tiny corpus, plus exit-code contracts."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -121,13 +122,13 @@ def explain_inputs(tmp_path_factory):
     negative Conv width or a MaxPool2 after Flatten, a spec file with a
     stride-0 Conv, two PGMs with a negative or zero size, a corpus whose
     split.csv went stale when an image was deleted, a good 16x16 corpus,
-    a 16x16 corpus with one 20x20 image, a 100-byte CAMF file whose header
-    declares a Dense layer of 10^11 units, a corpus with a class
-    directory named with a comma, a 16x16 RGB image, and corpora with 2
-    or 4 classes or with 8x8 images.  The good corpus, like every corpus
-    here made of 4 images per class, has an empty test split; the synth
-    corpus of 10 images per class has test rows, and synth's class names,
-    not the weights'."""
+    a corpus whose split.csv lists index 0 twice, a 16x16 corpus with one
+    20x20 image, a 100-byte CAMF file whose header declares a Dense layer
+    of 10^11 units, a corpus with a class directory named with a comma, a
+    16x16 RGB image, and corpora with 2 or 4 classes or with 8x8 images.
+    The good corpus, like every corpus here made of 4 images per class,
+    has an empty test split; the synth corpus of 10 images per class has
+    test rows, and synth's class names, not the weights'."""
     root = tmp_path_factory.mktemp("bad_input")
     weights = str(root / "model.camf")
     nn.save_weights(nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 0),
@@ -154,6 +155,11 @@ def explain_inputs(tmp_path_factory):
     good = str(root / "good")
     assert run_cli(["synth", "--out", good, "--n", "4", "--size", "16"]) == 0
     assert run_cli(["split", "--data", good]) == 0
+    dup = str(root / "dup")
+    assert run_cli(["synth", "--out", dup, "--n", "4", "--size", "16"]) == 0
+    assert run_cli(["split", "--data", dup]) == 0
+    with open(os.path.join(dup, "split.csv"), "a") as f:
+        f.write(f"0,{dup}/0_disk/00000.pgm,0,test\n")  # its row on line 2 says train
     mixed = str(root / "mixed")
     assert run_cli(["synth", "--out", mixed, "--n", "4", "--size", "16"]) == 0
     data.write_image(os.path.join(mixed, "1_rect", "00002.pgm"),
@@ -179,7 +185,7 @@ def explain_inputs(tmp_path_factory):
         assert run_cli(["split", "--data", d]) == 0
     return {"root": str(root), "weights": weights, "image": image,
             "headerless": str(headerless), "binary": str(binary), "stale": stale,
-            "good": good, "mixed": mixed, "comma": comma, **corpora}
+            "good": good, "dup": dup, "mixed": mixed, "comma": comma, **corpora}
 
 
 EXPLAIN = ["explain", "--weights", "{weights}", "--image", "{image}",
@@ -196,6 +202,19 @@ BAD_INPUTS = [
      "augment.rotation_set: expected a number, got '9,x'"),
     (["augment", "--data", "{root}", "--out", "{root}/aug", "--set", "augment.seed=5"], 1,
      "unknown config key 'augment.seed'"),
+    (["train", "--data", "{root}", "--set", "train.shuffle=0"], 1,
+     "unknown config key 'train.shuffle'"),
+    (["train", "--data", "{root}", "--set", "train.beta1=0.5"], 1,
+     "unknown config key 'train.beta1'"),
+    # each command reads only its own sections
+    (["augment", "--data", "{root}", "--out", "{root}/aug", "--set", "train.epochs=5"], 1,
+     "unknown config section 'train' in 'train.epochs'"),
+    (EXPLAIN + ["augment.noise_std=3"], 1,
+     "unknown config section 'augment' in 'augment.noise_std'"),
+    (["train", "--data", "{root}", "--set", "cam.target_layer=3"], 1,
+     "unknown config section 'cam' in 'cam.target_layer'"),
+    (["train", "--data", "{root}", "--set", "augment.noise_std=0.5"], 1,
+     "unknown config section 'augment' in 'augment.noise_std'"),
     (EXPLAIN + ["cam.score_kind=bogus"], 2,
      "unknown score kind 'bogus'; valid: ('logit', 'probability', 'exp_logit')"),
     (EXPLAIN + ["cam.target_layer=abc"], 1,
@@ -228,6 +247,8 @@ BAD_INPUTS = [
      "manifest {stale}/split.csv line 3: index 1 names 0_disk/00001.pgm (label 0), "
      "but the data directory has 0_disk/00002.pgm (label 0) there; "
      "run camnet split again"),
+    (["train", "--data", "{dup}", "--out", "{root}/dup_run"], 2,
+     "manifest {dup}/split.csv line 14: index 0 is listed twice; run camnet split again"),
     (["train", "--data", "{mixed}", "--out", "{root}/mixed_run"], 2,
      "{mixed}/1_rect/00002.pgm is 20x20x1, but {mixed}/0_disk/00000.pgm is 16x16x1; "
      "every image must have the same size and channel count"),
@@ -495,11 +516,52 @@ def test_augment_accepts_mixed_sizes(explain_inputs, tmp_path):
 def test_config_file_and_override(corpus, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train.epochs = 3  # comment\ntrain.optimizer = sgd\n")
-    configs = cli.load_run_config(str(cfg), ["train.epochs=4"])
+    configs = cli.load_run_config(("train", "augment"), str(cfg), ["train.epochs=4"])
     assert configs["train"].epochs == 4  # --set wins over the file
     assert configs["train"].optimizer == "sgd"
     with pytest.raises(Exception):
-        cli.load_run_config(str(cfg), ["augment.unknown=1"])
+        cli.load_run_config(("train", "augment"), str(cfg), ["augment.unknown=1"])
+
+
+def test_train_augment_is_reproducible_and_recorded(corpus, tmp_path):
+    """Two `train --augment` runs write the same weights and report, other
+    weights than a plain train, and run.txt lists augment.* only with
+    --augment."""
+    _, d = corpus
+    outs = {}
+    for name, extra in (("aug1", ["--augment"]), ("aug2", ["--augment"]), ("plain", [])):
+        out = str(tmp_path / name)
+        assert run_cli(["train", "--data", d, "--out", out, "--seed", "4",
+                        "--set", "train.epochs=2", "--set", "train.batch_size=6"]
+                       + extra) == 0
+        augment_keys = {k for k in _manifest(out) if k.startswith("augment.")}
+        assert augment_keys == ({f"augment.{f.name}"
+                                 for f in dataclasses.fields(data.AugmentConfig)}
+                                if extra else set())
+        with open(os.path.join(out, "train_report.csv")) as f:
+            report = [line.rsplit(",", 1)[0] for line in f]
+        with open(os.path.join(out, "model.camf"), "rb") as f:
+            outs[name] = (f.read(), report)
+    assert outs["aug1"] == outs["aug2"]
+    assert outs["aug1"][0] != outs["plain"][0]
+
+
+def test_run_txt_config_values_read_back_exactly(corpus, tmp_path):
+    _, d = corpus
+    for i, (angles, recorded) in enumerate((("12.3456789,-0.1", "12.3456789,-0.1"),
+                                            (None, "-13,-9,9,13"))):
+        out = str(tmp_path / f"aug{i}")
+        argv = ["augment", "--data", d, "--out", out]
+        assert run_cli(argv + (["--set", f"augment.rotation_set={angles}"]
+                               if angles else [])) == 0
+        manifest = _manifest(out)
+        assert manifest["augment.rotation_set"] == recorded
+        again = tmp_path / "again.cfg"
+        again.write_text("".join(f"{k}={v}\n" for k, v in manifest.items()
+                                 if k.startswith("augment.")))
+        want = cli.load_run_config(("augment",), None,
+                                   [f"augment.rotation_set={angles}"] if angles else [])
+        assert cli.load_run_config(("augment",), str(again)) == want
 
 
 def test_gradcheck_command():

@@ -132,13 +132,16 @@ def test_split_paper_counts():
     assert len(m.test) == 604
     assert len(m.val) == 604
     assert len(m.train) == 4848
-    assert m.per_class_counts[2] == (1640, 204, 204)
+    assert [sum(ds.labels[i] == 2 for i in s) for s in (m.train, m.val, m.test)] == \
+           [1640, 204, 204]
 
 
 def test_split_ten_per_class():
-    m = data.stratified_split(_fake_dataset((10, 10, 10)), seed=1)
+    ds = _fake_dataset((10, 10, 10))
+    m = data.stratified_split(ds, seed=1)
     for c in range(3):
-        assert m.per_class_counts[c] == (8, 1, 1)
+        assert [sum(ds.labels[i] == c for i in s) for s in (m.train, m.val, m.test)] == \
+               [8, 1, 1]
 
 
 def test_split_disjoint_and_covering():
@@ -388,4 +391,4 @@ def test_load_directory_alphabetical(tmp_path):
     ds = data.load_directory(tmp_path)
     assert ds.class_names == ["a_disk", "b_rect"]
     assert ds.labels == [0, 1]
-    assert ds.images[0].max() == 1.0  # min-max normalized on load
+    assert ds.images[0].dtype == np.uint8 and ds.images[0].max() == 50  # decoded only
