@@ -32,11 +32,12 @@ activations a, and with J_k the gradient of logit k (one backward pass)
 which for exp_logit is the Grad-CAM++ paper's own closed form.  A layer
 type that is not piecewise linear would make the second formula wrong.
 
-Work per explain: `capture` runs the one eval-mode capture forward, whose
-cache gives the predicted class and feeds every method called with it as
-`cache=` (without one, a method captures the image itself).  Each
-backward pass stops at the output of the target layer and computes no
-parameter gradient, so no layer below the target is visited.
+Work per explain: `capture` runs the one eval-mode forward of an image.
+Its ForwardCache gives the predicted class, and every method takes it
+(a capture of more than one image, or of a train-mode pass, is a
+ShapeError).  Each backward pass stops at the output of the target layer
+and computes no parameter gradient, so no layer below the target is
+visited.
 
 Rows per capture: both sums above read only the logit rows J_k in the
 support of g and S, J_c for logit and exp_logit and every class for
@@ -101,11 +102,10 @@ def _as_single_batch(image: np.ndarray, spec) -> np.ndarray:
 
 
 def capture(model: nn.Model, image) -> nn.ForwardCache:
-    """The one eval-mode capture forward of a single image.  Its cache holds
-    the class probabilities (activations[-1]) and every layer output the
-    saliency methods read; pass it as `cache=` to run them on it."""
-    nn.forward(model, _as_single_batch(image, model.spec), capture=True)
-    return model.cache
+    """The one eval-mode forward of a single image.  Its cache holds the
+    class probabilities (activations[-1]) and every layer output the
+    saliency methods read; pass it to them."""
+    return nn.forward(model, _as_single_batch(image, model.spec))
 
 
 def _logit_row(model: nn.Model, cache: nn.ForwardCache, idx: int, k: int) -> np.ndarray:
@@ -116,8 +116,7 @@ def _logit_row(model: nn.Model, cache: nn.ForwardCache, idx: int, k: int) -> np.
     if row is None:
         e = np.zeros(cache.activations[-2].shape)
         e[0, k] = 1.0
-        grads = nn.backward(model, e, stop=idx + 1, need_param_grads=False,
-                            cache=cache)
+        grads = nn.backward(model, cache, e, stop=idx + 1, need_param_grads=False)
         row = grads.activation_nchw(idx + 1)[0]
         row.flags.writeable = False
         cache.logit_rows[(idx, k)] = row
@@ -144,11 +143,16 @@ def _score_terms(cache: nn.ForwardCache, class_index: int, kind: str):
     return g, s
 
 
-def _setup(model: nn.Model, image, cfg: CamConfig | None, cache: nn.ForwardCache | None):
-    """The config (default CamConfig()), the resolved target layer and the
-    capture (`cache`, or a capture of `image`) of one saliency call."""
+def _setup(model: nn.Model, cache: nn.ForwardCache, cfg: CamConfig | None):
+    """The config (default CamConfig()) and the resolved target layer of
+    one saliency call on `cache`, which must capture one eval-mode image."""
+    if len(cache.activations[-1]) != 1:
+        raise ShapeError("a saliency map needs the capture of one image, "
+                         f"got {len(cache.activations[-1])}")
+    if cache.conv_cols or cache.shards:  # kept by a train-mode pass only
+        raise ShapeError("a saliency map needs an eval-mode capture, got a train-mode one")
     cfg = cfg or CamConfig()
-    return cfg, _resolve_target(model, cfg), cache or capture(model, image)
+    return cfg, _resolve_target(model, cfg)
 
 
 def _score_grad(model: nn.Model, cache: nn.ForwardCache, idx: int, class_index: int,
@@ -162,16 +166,13 @@ def _score_grad(model: nn.Model, cache: nn.ForwardCache, idx: int, class_index: 
                np.zeros(model.layer_shapes[idx]))
 
 
-def grad_wrt_activations(model: nn.Model, image, class_index: int,
-                         cfg: CamConfig | None = None,
-                         cache: nn.ForwardCache | None = None) -> np.ndarray:
-    """dY_c/dA for the target conv layer's output, shape (K, U, V).
-
-    Eval mode (dropout off).  Runs on `cache`, a capture of `image`, or
-    captures the image itself when cache is None.  For the logit score the
+def grad_wrt_activations(model: nn.Model, cache: nn.ForwardCache, class_index: int,
+                         cfg: CamConfig | None = None) -> np.ndarray:
+    """dY_c/dA for the target conv layer's output, shape (K, U, V), on
+    `cache`, the eval-mode capture of one image.  For the logit score the
     result is the capture's memoised row J_c, which is read-only.
     """
-    cfg, idx, cache = _setup(model, image, cfg, cache)
+    cfg, idx = _setup(model, cache, cfg)
     return _score_grad(model, cache, idx, class_index, cfg.score_kind)
 
 
@@ -186,32 +187,31 @@ def _combine(model: nn.Model, cache: nn.ForwardCache, idx: int, alpha: np.ndarra
     return CamWeights(alpha, class_index, method), Heatmap(raw, normalized)
 
 
-def gradcam(model: nn.Model, image, class_index: int,
-            cfg: CamConfig | None = None, cache: nn.ForwardCache | None = None):
+def gradcam(model: nn.Model, cache: nn.ForwardCache, class_index: int,
+            cfg: CamConfig | None = None):
     """Gradient-averaged channel weights: alpha_k = mean_ij dY/dA_kij."""
-    cfg, idx, cache = _setup(model, image, cfg, cache)
-    g = grad_wrt_activations(model, image, class_index, cfg, cache)
+    cfg, idx = _setup(model, cache, cfg)
+    g = grad_wrt_activations(model, cache, class_index, cfg)
     return _combine(model, cache, idx, g.mean(axis=(1, 2)), class_index, "gradcam")
 
 
-def hessian_diag(model: nn.Model, image, class_index: int,
-                 cfg: CamConfig | None = None,
-                 cache: nn.ForwardCache | None = None) -> np.ndarray:
+def hessian_diag(model: nn.Model, cache: nn.ForwardCache, class_index: int,
+                 cfg: CamConfig | None = None) -> np.ndarray:
     """Diagonal of d2Y_c/dA^2 at the target layer, shape (K, U, V), by the
     closed form of the module docstring: one logit row per class in the
-    support of S, on `cache` or on a capture of `image` when cache is None."""
-    cfg, idx, cache = _setup(model, image, cfg, cache)
+    support of S, on `cache`."""
+    cfg, idx = _setup(model, cache, cfg)
     _, s = _score_terms(cache, class_index, cfg.score_kind)
     rows = {k: _logit_row(model, cache, idx, k) for k in np.flatnonzero(s.any(axis=0))}
     return sum((s[k, l] * rows[k] * rows[l] for k in rows for l in rows),
                np.zeros(model.layer_shapes[idx]))
 
 
-def gradcam_pp(model: nn.Model, image, class_index: int,
-               cfg: CamConfig | None = None, cache: nn.ForwardCache | None = None):
+def gradcam_pp(model: nn.Model, cache: nn.ForwardCache, class_index: int,
+               cfg: CamConfig | None = None):
     """Channel weights alpha_k = (1/Z) sum_ij (d2Y/dA^2 + 2 dY/dA)."""
-    cfg, idx, cache = _setup(model, image, cfg, cache)
-    hess = hessian_diag(model, image, class_index, cfg, cache)
+    cfg, idx = _setup(model, cache, cfg)
+    hess = hessian_diag(model, cache, class_index, cfg)
     g = _score_grad(model, cache, idx, class_index, cfg.score_kind)
     alpha = (hess + 2.0 * g).mean(axis=(1, 2))
     return _combine(model, cache, idx, alpha, class_index, "gradcam_pp")

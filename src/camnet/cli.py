@@ -89,9 +89,11 @@ def load_run_config(sections, config_path=None, overrides=()):
         if section not in configs:
             raise ConfigError(f"unknown config section {section!r} in {key!r}")
         cfg = configs[section]
-        if field not in {f.name for f in dataclasses.fields(cfg)}:
+        defaults = {f.name: f.default for f in dataclasses.fields(cfg)}
+        if field not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, field, _coerce(key, value, getattr(cfg, field)))
+        unset = value == "None" and defaults[field] is None  # as run.txt writes it
+        setattr(cfg, field, None if unset else _coerce(key, value, getattr(cfg, field)))
     return configs
 
 
@@ -301,6 +303,7 @@ def _check_corpus_fits(model, ds, args):
 
 def cmd_explain(args):
     start = time.perf_counter()
+    cfg = load_run_config(("cam",), args.config, args.set or ())["cam"]
     model = nn.load_weights(None, args.weights)
     n_classes = len(model.spec.class_names)
     if args.class_index is not None and not 0 <= args.class_index < n_classes:
@@ -321,8 +324,6 @@ def cmd_explain(args):
     probs = cache.activations[-1][0]
     class_index = args.class_index if args.class_index is not None else int(probs.argmax())
     class_name = model.spec.class_names[class_index]
-
-    cfg = load_run_config(("cam",), args.config, args.set or ())["cam"]
     methods = ["gradcam", "gradcam_pp"] if args.method == "both" else [args.method]
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.image))
@@ -331,7 +332,7 @@ def cmd_explain(args):
     written = []
     for method in methods:
         fn = camlib.gradcam if method == "gradcam" else camlib.gradcam_pp
-        _, heatmap = fn(model, x, class_index, cfg, cache=cache)
+        _, heatmap = fn(model, cache, class_index, cfg)
         map_path = os.path.join(out_dir, f"{stem}.{method}.{class_name}.pgm")
         overlay_path = os.path.join(out_dir, f"{stem}.{method}.{class_name}.ppm")
         datalib.write_image(map_path, datalib.f_to_u8(heatmap.normalized[:, :, None]))

@@ -124,11 +124,11 @@ def check_end_to_end(seed: int = 6) -> CheckResult:
     labels = [1]
 
     def loss_fn():
-        return sparse_ce(nn.forward(model, x), labels)[0]
+        return sparse_ce(nn.forward(model, x).activations[-1], labels)[0]
 
-    probs = nn.forward(model, x, capture=True)
-    _, dlogits = sparse_ce(probs, labels)
-    grads = nn.backward(model, dlogits)
+    cache = nn.forward(model, x)
+    _, dlogits = sparse_ce(cache.activations[-1], labels)
+    grads = nn.backward(model, cache, dlogits)
 
     worst = 0.0
     for li, name, arr in model.param_items():

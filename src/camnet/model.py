@@ -8,11 +8,14 @@ weight shape and fan-in, and its forward and backward.  Parsing,
 validation, building, forward, forward_from and backward are each one
 loop over the layers that calls these methods.
 
-The last layer is always SoftmaxOutput.  `forward` returns class
-probabilities; `backward` takes the upstream gradient w.r.t. the
+The last layer is always SoftmaxOutput.  `forward` returns a
+ForwardCache of every layer output, the class probabilities last;
+`backward` takes that cache and the upstream gradient w.r.t. the
 PRE-softmax logits (softmax is fused with the loss, see optim.sparse_ce)
 and returns gradients for every parameter plus every cached layer
-output.  The saliency code runs it stopped above its target layer and
+output.  A capture is a value the caller holds: the Model keeps no
+state of a pass, so passes on one model may run on several threads.
+The saliency code runs backward stopped above its target layer and
 without parameter gradients, and reads the activation gradients only.
 
 A train-mode capture of more than SHARD images runs data-parallel: each
@@ -57,12 +60,13 @@ class _Layer:
     shape-preserving layer.
 
     forward(x, p, i, cache, drop_rng) returns the output of layer i for a
-    channels-last x, with p its parameter dict.  A capture pass hands its
-    ForwardCache, a train-mode pass its dropout stream; each is None
-    otherwise.  backward(g, p, i, cache, need_input_grad, need_param_grads)
-    takes the gradient w.r.t. the layer output and returns the gradient
-    w.r.t. its input, cache.activations[i], and a dict of parameter
-    gradients ({} when none are computed).
+    channels-last x, with p its parameter dict.  `forward` hands its
+    ForwardCache (None in `predict` and `forward_from`, which keep
+    nothing), a train-mode pass its dropout stream (None otherwise).
+    backward(g, p, i, cache, need_input_grad, need_param_grads) takes the
+    gradient w.r.t. the layer output and returns the gradient w.r.t. its
+    input, cache.activations[i], and a dict of parameter gradients ({}
+    when none are computed).
     """
 
     token = ""
@@ -111,8 +115,8 @@ class Conv(_Layer):
         return wshape, math.prod(wshape[1:])
 
     def forward(self, x, p, i, cache, drop_rng):
-        if cache is None or drop_rng is None:
-            # only a train-mode capture keeps its patch matrices: its paired
+        if drop_rng is None:
+            # only a train-mode pass keeps its patch matrices: its paired
             # backward computes every parameter gradient
             return ops.conv2d_nhwc(x, p["weights"], p["bias"], self.stride, self.pad)
         x, cache.conv_cols[i] = ops.conv2d_nhwc(
@@ -218,8 +222,7 @@ class Dropout(_Layer):
         keep = drop_rng.uniform_block(x.size).reshape(x.shape) >= self.rate
         mask = keep.astype(x.dtype)  # in x's dtype, or x * mask upcasts
         mask /= 1.0 - self.rate
-        if cache is not None:
-            cache.dropout_masks[i] = mask
+        cache.dropout_masks[i] = mask
         return x * mask
 
     def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
@@ -333,18 +336,18 @@ def deepest_conv_index(spec: ModelSpec) -> int:
 
 @dataclass
 class ForwardCache:
-    """Per-layer outputs from the last capture-enabled forward pass.
+    """Per-layer outputs of one `forward` pass, which returns it.
 
     activations[0] is the input batch; activations[i+1] the output of
-    layer i.  4-d entries are stored channels-last (the internal compute
-    layout); use Model.activation_nchw / Gradients.activation_nchw for
-    the public (N,C,H,W) view.  dropout_masks[i] holds the (already
-    1/(1-rate)-scaled) mask used by Dropout layer i during a train-mode
-    pass.  conv_cols[i] keeps the im2col patch matrix of Conv layer i
-    from a train-mode capture, so backward can reuse it instead of
-    rebuilding it; an eval-mode capture keeps none, and a backward that
-    computes parameter gradients on it rebuilds each matrix.
-    logit_rows[(i, k)] memoises the saliency code's read-only gradient of
+    layer i, so activations[-1] holds the class probabilities.  4-d
+    entries are stored channels-last (the internal compute layout); use
+    activation_nchw / Gradients.activation_nchw for the public (N,C,H,W)
+    view.  dropout_masks[i] holds the (already 1/(1-rate)-scaled) mask
+    used by Dropout layer i during a train-mode pass.  conv_cols[i] keeps
+    the im2col patch matrix of Conv layer i from a train-mode capture,
+    so backward can reuse it instead of rebuilding it; an eval-mode
+    capture keeps none, and a backward that computes parameter gradients
+    on it rebuilds each matrix.  logit_rows[(i, k)] memoises the saliency code's read-only gradient of
     logit k at layer i's output, so each such backward runs once per
     capture.  A sharded train-mode capture (see forward) keeps one
     ForwardCache per shard in `shards`, each covering the layers up to
@@ -353,7 +356,7 @@ class ForwardCache:
     """
 
     activations: list
-    dropout_masks: dict
+    dropout_masks: dict = field(default_factory=dict)
     conv_cols: dict = field(default_factory=dict)
     logit_rows: dict = field(default_factory=dict)
     shards: list = field(default_factory=list)
@@ -375,7 +378,6 @@ class Model:
     spec: ModelSpec
     params: list  # per layer: dict of name -> ndarray ({} if parameterless)
     layer_shapes: list = field(default_factory=list)
-    cache: ForwardCache | None = None
 
     def param_items(self):
         """(layer_index, name, array) for every parameter, in canonical order."""
@@ -391,12 +393,6 @@ class Model:
     def dtype(self) -> np.dtype:
         """The parameters' dtype, in which forward and backward compute."""
         return next((a.dtype for _, _, a in self.param_items()), np.dtype(np.float64))
-
-    def activation_nchw(self, i: int) -> np.ndarray:
-        """Cached output of layer i-1 (i=0 is the input), (N,C,H,W) layout."""
-        if self.cache is None:
-            raise ShapeError("no cached forward; call forward with capture=True")
-        return self.cache.activation_nchw(i)
 
 
 def _make_model(spec: ModelSpec, rng: Rng | None, file_bytes: int | None = None
@@ -438,16 +434,18 @@ def build_model(spec: ModelSpec, init_seed: int) -> Model:
     return _make_model(spec, Rng(init_seed))
 
 
-def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0,
-            capture: bool = False) -> np.ndarray:
-    """Run the network; returns softmax probabilities (N, K).
+def forward(model: Model, batch, train_mode: bool = False,
+            dropout_seed: int = 0) -> ForwardCache:
+    """Run the network and return its capture: the ForwardCache of every
+    layer output, whose activations[-1] are the softmax probabilities
+    (N, K).  Pass it to `backward`, or to the saliency methods.
 
     In train_mode, inverted dropout is applied, driven by dropout_seed
-    (one splitmix64 stream consumed across Dropout layers in order).
-    With capture on, every layer output is stored in model.cache.  The
-    batch is cast to model.dtype, the dtype of every layer output.
+    (one splitmix64 stream consumed across Dropout layers in order), and
+    each Conv keeps its patch matrix for the backward.  The batch is cast
+    to model.dtype, the dtype of every layer output.
 
-    A train-mode capture of more than SHARD images runs sharded (see
+    A train-mode pass of more than SHARD images runs sharded (see
     _forward_sharded): its cache keeps the layers up to the Flatten per
     shard, in cache.shards.
     """
@@ -456,15 +454,12 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ShapeError(f"batch shape {x.shape} does not match (N,)+{expect}")
     x = ops._to_nhwc(x)
-    if train_mode and capture and x.shape[0] > SHARD:
-        model.cache = None  # the last step's cache, freed before this one is built
-        model.cache, x = _forward_sharded(model, x, dropout_seed)
-        return x
-    cache = ForwardCache([x], {}, {}) if capture else None
-    drop_rng = Rng(dropout_seed) if train_mode else None
-    x = _run(model, x, 0, len(model.spec.layers), cache, drop_rng)
-    model.cache = cache
-    return x
+    if train_mode and x.shape[0] > SHARD:
+        return _forward_sharded(model, x, dropout_seed)
+    cache = ForwardCache([x])
+    _run(model, x, 0, len(model.spec.layers), cache,
+         Rng(dropout_seed) if train_mode else None)
+    return cache
 
 
 # Images per shard of a sharded train-mode step.  On a 128x128 vgg-nano
@@ -478,8 +473,8 @@ SHARD = 8
 
 
 def _forward_sharded(model: Model, x: np.ndarray, seed: int):
-    """A train-mode capture forward of a channels-last batch as shards of
-    SHARD images.  Returns (cache, probabilities).
+    """A train-mode forward of a channels-last batch as shards of SHARD
+    images.  Returns its ForwardCache.
 
     Each shard runs the layers up to and including the Flatten, keeping
     its own ForwardCache with its patch matrices and dropout masks, on the
@@ -504,7 +499,7 @@ def _forward_sharded(model: Model, x: np.ndarray, seed: int):
 
     def shard_forward(a):
         xs = x[a:a + SHARD]
-        cache = ForwardCache([xs], {}, {})
+        cache = ForwardCache([xs])
         for i in range(flat + 1):
             rng = train
             if i in starts:
@@ -516,9 +511,9 @@ def _forward_sharded(model: Model, x: np.ndarray, seed: int):
     with tuning.one_blas_thread():
         shards = tuning.parallel_map(shard_forward, range(0, n, SHARD))
         feats = np.concatenate([c.activations[-1] for c in shards])
-        cache = ForwardCache([None] * (flat + 1) + [feats], {}, {}, shards=shards)
-        probs = _run(model, feats, flat + 1, len(layers), cache, Rng(seed, drawn))
-    return cache, probs
+        cache = ForwardCache([None] * (flat + 1) + [feats], shards=shards)
+        _run(model, feats, flat + 1, len(layers), cache, Rng(seed, drawn))
+    return cache
 
 
 # Images whose flat features `predict` stacks for one pass of the dense
@@ -589,15 +584,15 @@ class Gradients:
         return _nchw(self.activations[i])
 
 
-def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
-             stop: int = 0, need_param_grads: bool = True,
-             cache: ForwardCache | None = None) -> Gradients:
-    """Backpropagate from the pre-softmax logits.
+def backward(model: Model, cache: ForwardCache, upstream: np.ndarray,
+             need_input_grad: bool = True, stop: int = 0,
+             need_param_grads: bool = True) -> Gradients:
+    """Backpropagate from the pre-softmax logits through `cache`, the
+    capture that `forward` returned.
 
     `upstream` (N, K) is the gradient of the loss w.r.t. the logits, as
     produced by optim.sparse_ce, cast to model.dtype; the SoftmaxOutput
-    layer itself is fused into the loss and skipped here.  Reads `cache`,
-    by default model.cache of the last capture forward.
+    layer itself is fused into the loss and skipped here.
 
     The pass runs layers n-1 down to `stop`, so it fills the activation
     gradients at indices >= stop and leaves the lower ones None.  Without
@@ -608,10 +603,6 @@ def backward(model: Model, upstream: np.ndarray, need_input_grad: bool = True,
     w.r.t. the input batch.  On a sharded capture the pass runs each
     shard's layers on its own (see _backward_sharded).
     """
-    if cache is None:
-        cache = model.cache
-    if cache is None:
-        raise ShapeError("backward requires a prior forward with capture=True")
     acts = cache.activations
     g = np.asarray(upstream, dtype=model.dtype)
     if g.shape != acts[-1].shape:

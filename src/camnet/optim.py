@@ -244,17 +244,17 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
                 x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])  # (N, C, H, W)
                 y = [train_set.labels[i] for i in idx]
 
-                probs = nn.forward(work, x, train_mode=True,
-                                   dropout_seed=derive_seed(config.seed, epoch, b, 1),
-                                   capture=True)
+                cache = nn.forward(work, x, train_mode=True,
+                                   dropout_seed=derive_seed(config.seed, epoch, b, 1))
+                probs = cache.activations[-1]
                 loss, dlogits = sparse_ce(probs, y)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b}")
-                grads = nn.backward(work, dlogits, need_input_grad=False)
+                grads = nn.backward(work, cache, dlogits, need_input_grad=False)
                 optimizer_step(config.optimizer, model, grads, state,
                                config.learning_rate)
                 _refresh(work, model)
-                work.cache = grads = None  # freed before the next forward builds its own
+                cache = grads = None  # freed before the next forward builds its own
                 epoch_loss += loss * len(y)
                 epoch_correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
 

@@ -31,8 +31,7 @@ def _probe(model, image, target_layer, step):
     a + step and a - step on each element in turn, and the shape of a."""
     idx = nn.deepest_conv_index(model.spec) if target_layer is None else target_layer
     x = np.asarray(image, dtype=np.float64).reshape((1,) + tuple(model.spec.input_shape))
-    nn.forward(model, x, capture=True)
-    base = model.activation_nchw(idx + 1).copy()
+    base = nn.forward(model, x).activation_nchw(idx + 1).copy()
     z0 = nn.forward_from(model, idx, base)
     flat_base = base.reshape(-1)
     zp, zm = [], []

@@ -190,5 +190,5 @@ def score_grad_reference(model, cache, idx, class_index, kind):
         e = np.exp(z - z.max())
         p = e / e.sum()
         g = p[0, class_index] * (e_c - p)
-    grads = nn.backward(model, g, stop=idx + 1, need_param_grads=False, cache=cache)
+    grads = nn.backward(model, cache, g, stop=idx + 1, need_param_grads=False)
     return grads.activation_nchw(idx + 1)[0]

@@ -111,7 +111,7 @@ def test_criterion_3_gradcam_brute_force(capsys):
     worst = 0.0
     for c in (0, 1):
         alpha_bf, raw_bf = _scripted_gradcam(m, x, c)
-        weights, heat = cam.gradcam(m, x, c)
+        weights, heat = cam.gradcam(m, cam.capture(m, x), c)
         worst = max(worst, np.abs(weights.alpha - alpha_bf).max(),
                     np.abs(heat.raw - raw_bf).max())
     _report(capsys, 3,
@@ -126,8 +126,9 @@ def test_criterion_4a_linear_head_reduction(capsys):
     head = np.random.default_rng(6).standard_normal((2 * 16, 2))
     m = _two_map_model(head)
     x = np.random.default_rng(7).random((1, 4, 4))
-    _, h_gc = cam.gradcam(m, x, 0)
-    _, h_pp = cam.gradcam_pp(m, x, 0)
+    cache = cam.capture(m, x)
+    _, h_gc = cam.gradcam(m, cache, 0)
+    _, h_pp = cam.gradcam_pp(m, cache, 0)
     assert h_gc.raw.max() > 0, "degenerate case, pick a different seed"
     diff = np.abs(h_pp.normalized - h_gc.normalized).max()
     _report(capsys, "4a",
@@ -162,13 +163,13 @@ def test_criterion_4c_fast_vs_fd_vgg_nano(capsys):
     c = 1
     h = 1e-3
     fd = fd_hessian_diag(m, x, c, score_kind="exp_logit", step=h)
-    exact = cam.hessian_diag(m, x, c, cfg=cam.CamConfig(score_kind="exp_logit"))
+    cache = cam.capture(m, x)
+    exact = cam.hessian_diag(m, cache, c, cfg=cam.CamConfig(score_kind="exp_logit"))
 
     # mask out elements whose +-h probes cross a ReLU kink or flip a
     # pooling argmax between the target layer and the logits
     idx = nn.deepest_conv_index(spec)
-    nn.forward(m, np.asarray(x)[None], capture=True)
-    a = m.activation_nchw(idx + 1)[0]           # (16, 8, 8)
+    a = cache.activation_nchw(idx + 1)[0]       # (16, 8, 8)
     r = np.maximum(a, 0.0)
     k, u, v = a.shape
     win = r.reshape(k, u // 2, 2, v // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
@@ -216,7 +217,7 @@ def test_criterion_5_heatmap_invariants(capsys):
         x = rng.random((1, 16, 16))
         c = int(rng.integers(3))
         for fn in (cam.gradcam, cam.gradcam_pp):
-            _, heat = fn(m, x, c)
+            _, heat = fn(m, cam.capture(m, x), c)
             ok &= bool((heat.raw >= 0).all())
             ok &= 0.0 <= heat.normalized.min() and heat.normalized.max() <= 1.0
             if heat.raw.max() == 0:

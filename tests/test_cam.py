@@ -1,11 +1,13 @@
 """Saliency maps against hand arithmetic and scripted brute-force oracles."""
 
+import sys
+
 import kernels_ref
 import numpy as np
 import pytest
 
-from camnet import cam, model as nn
-from camnet.errors import BuildError
+from camnet import cam, model as nn, tuning
+from camnet.errors import BuildError, ShapeError
 from hessian_fd import fd_hessian_diag, kink_free, score_from_logits
 
 
@@ -39,7 +41,7 @@ def test_grad_wrt_activations_sum_head_is_all_ones():
     head = np.ones((4, 1))
     m = _linear_map_model(1, head)
     x = np.array([[[0.1, 0.2], [0.3, 0.4]]])
-    g = cam.grad_wrt_activations(m, x, class_index=0)
+    g = cam.grad_wrt_activations(m, cam.capture(m, x), class_index=0)
     assert g.shape == (1, 2, 2)
     assert np.array_equal(g, np.ones((1, 2, 2)))
 
@@ -48,7 +50,7 @@ def test_gradcam_hand_case():
     # A = input through an identity 1x1 conv; Y = sum(A) so alpha = 1
     m = _linear_map_model(1, np.ones((4, 1)))
     x = np.array([[[-1.0, 2.0], [0.0, 4.0]]])
-    weights, heat = cam.gradcam(m, x, class_index=0)
+    weights, heat = cam.gradcam(m, cam.capture(m, x), class_index=0)
     assert weights.alpha == pytest.approx([1.0], abs=1e-15)
     assert np.array_equal(heat.raw, [[0.0, 2.0], [0.0, 4.0]])
     assert heat.normalized.max() == 1.0
@@ -61,7 +63,7 @@ def test_gradcam_zero_gradients_zero_map():
     head[:, 1] = 1.0  # class 0 column stays all zero
     m = _linear_map_model(1, head)
     x = np.random.default_rng(0).random((1, 2, 2))
-    weights, heat = cam.gradcam(m, x, class_index=0)
+    weights, heat = cam.gradcam(m, cam.capture(m, x), class_index=0)
     assert not weights.alpha.any()
     assert not heat.raw.any()
     assert not heat.normalized.any()  # zero-map rule: stays zero, no 0/0
@@ -109,7 +111,7 @@ def test_gradcam_matches_brute_force_two_maps():
 
     for c in (0, 1):
         alpha_bf, raw_bf = _brute_force_maps(m, x, c)
-        weights, heat = cam.gradcam(m, x, c)
+        weights, heat = cam.gradcam(m, cam.capture(m, x), c)
         assert np.abs(weights.alpha - alpha_bf).max() <= 1e-12
         assert np.abs(heat.raw - raw_bf).max() <= 1e-12
 
@@ -127,7 +129,7 @@ def test_hessian_linear_head_fd_near_zero():
 def test_hessian_auto_linear_head_exact_zero():
     m = _linear_map_model(1, np.ones((4, 1)))
     x = np.array([[[0.3, -0.1], [0.7, 0.2]]])
-    hess = cam.hessian_diag(m, x, 0)
+    hess = cam.hessian_diag(m, cam.capture(m, x), 0)
     assert not hess.any()
 
 
@@ -159,7 +161,7 @@ def test_hessian_fast_matches_exp_toy_exactly():
     m = _scalar_exp_toy()
     x = np.full((1, 1, 1), 0.4)
     cfg = cam.CamConfig(score_kind="exp_logit")
-    hess = cam.hessian_diag(m, x, 0, cfg=cfg)
+    hess = cam.hessian_diag(m, cam.capture(m, x), 0, cfg=cfg)
     assert hess[0, 0, 0] == pytest.approx(4.0 * np.exp(0.8), rel=1e-12)
 
 
@@ -171,7 +173,7 @@ def _vgg_nano_16():
 def test_hessian_logit_shallow_target_exact_zero():
     # conv, pooling and dense layers downstream are all piecewise linear
     m, x = _vgg_nano_16()
-    hess = cam.hessian_diag(m, x, 1, cam.CamConfig(target_layer=0))
+    hess = cam.hessian_diag(m, cam.capture(m, x), 1, cam.CamConfig(target_layer=0))
     assert hess.shape == (8, 16, 16)
     assert not hess.any()
 
@@ -183,11 +185,11 @@ def test_hessian_closed_form_matches_fd(score_kind, target_layer):
     m, x = _vgg_nano_16()
     c, h = 1, 1e-3
     fd = fd_hessian_diag(m, x, c, target_layer, score_kind, step=h)
-    exact = cam.hessian_diag(m, x, c, cam.CamConfig(target_layer, score_kind))
+    exact = cam.hessian_diag(m, cam.capture(m, x), c,
+                             cam.CamConfig(target_layer, score_kind))
     safe = kink_free(m, x, target_layer, step=h)
     # the FD's own rounding error: a few ulp of the score, over h^2
-    nn.forward(m, x[None], capture=True)
-    y0 = score_from_logits(m.cache.activations[-2], c, score_kind)
+    y0 = score_from_logits(nn.forward(m, x[None]).activations[-2], c, score_kind)
     fd_rounding = 8 * np.finfo(float).eps * abs(y0) / (h * h)
     bound = 1e-3 * np.maximum(np.abs(fd), np.abs(exact)) + fd_rounding
     assert (np.abs(fd - exact) <= bound)[safe].all()
@@ -207,7 +209,8 @@ def test_hessian_probability_is_softmax_hessian_on_linear_head():
     d = np.eye(3)[c] - p
     s = p[c] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
     expect = np.einsum("ik,kl,il->i", head, s, head).reshape(1, 2, 2)
-    hess = cam.hessian_diag(m, x, c, cfg=cam.CamConfig(score_kind="probability"))
+    hess = cam.hessian_diag(m, cam.capture(m, x), c,
+                            cfg=cam.CamConfig(score_kind="probability"))
     assert np.abs(hess - expect).max() <= 1e-14
 
 
@@ -220,8 +223,8 @@ def test_gradcam_pp_linear_head_doubles_alpha():
     m = _linear_map_model(2, head, input_hw=(4, 4),
                           conv_weights=rng.standard_normal((2, 1, 3, 3)))
     x = rng.random((1, 4, 4))
-    w_gc, h_gc = cam.gradcam(m, x, 0)
-    w_pp, h_pp = cam.gradcam_pp(m, x, 0)
+    w_gc, h_gc = cam.gradcam(m, cam.capture(m, x), 0)
+    w_pp, h_pp = cam.gradcam_pp(m, cam.capture(m, x), 0)
     assert np.abs(w_pp.alpha - 2.0 * w_gc.alpha).max() <= 1e-15
     if h_gc.raw.max() > 0:
         assert np.abs(h_pp.normalized - h_gc.normalized).max() <= 1e-12
@@ -232,7 +235,7 @@ def test_gradcam_pp_zero_everything():
     head[:, 1] = 1.0
     m = _linear_map_model(1, head)
     x = np.random.default_rng(1).random((1, 2, 2))
-    _, heat = cam.gradcam_pp(m, x, 0)
+    _, heat = cam.gradcam_pp(m, cam.capture(m, x), 0)
     assert not heat.raw.any() and not heat.normalized.any()
 
 
@@ -243,7 +246,7 @@ def test_heatmap_invariants_random_inputs():
     for _ in range(10):
         x = rng.random((1, 16, 16))
         for fn in (cam.gradcam, cam.gradcam_pp):
-            _, heat = fn(m, x, int(rng.integers(3)))
+            _, heat = fn(m, cam.capture(m, x), int(rng.integers(3)))
             assert (heat.raw >= 0).all()
             assert heat.normalized.shape == (16, 16)
             assert heat.normalized.min() >= 0.0
@@ -263,7 +266,7 @@ def _reference_alpha(model, x, class_index, cfg, method):
     g = kernels_ref.score_grad_reference(model, cache, idx, class_index, cfg.score_kind)
     if method == "gradcam":
         return g.mean(axis=(1, 2)), cache, idx
-    hess = cam.hessian_diag(model, x, class_index, cfg, cache)
+    hess = cam.hessian_diag(model, cache, class_index, cfg)
     return (hess + 2.0 * g).mean(axis=(1, 2)), cache, idx
 
 
@@ -281,7 +284,7 @@ def test_logit_rows_give_reference_bytes():
         cfg = cam.CamConfig(target_layer=target_layer)
         cache = cam.capture(m, x)
         for method, fn in (("gradcam", cam.gradcam), ("gradcam_pp", cam.gradcam_pp)):
-            weights, heat = fn(m, x, c, cfg, cache=cache)
+            weights, heat = fn(m, cache, c, cfg)
             alpha, ref_cache, idx = _reference_alpha(m, x, c, cfg, method)
             _, ref_heat = cam._combine(m, ref_cache, idx, alpha, c, method)
             assert weights.alpha.tobytes() == alpha.tobytes()
@@ -300,7 +303,7 @@ def test_combined_rows_match_reference_backward(score_kind):
         cfg = cam.CamConfig(target_layer=target_layer, score_kind=score_kind)
         cache = cam.capture(m, x)
         for method, fn in (("gradcam", cam.gradcam), ("gradcam_pp", cam.gradcam_pp)):
-            weights, heat = fn(m, x, c, cfg, cache=cache)
+            weights, heat = fn(m, cache, c, cfg)
             alpha, ref_cache, idx = _reference_alpha(m, x, c, cfg, method)
             _, ref_heat = cam._combine(m, ref_cache, idx, alpha, c, method)
             assert np.abs(weights.alpha - alpha).max() <= 1e-13 * np.abs(alpha).max()
@@ -313,15 +316,15 @@ def test_logit_rows_are_memoised_read_only(monkeypatch):
     calls = []
     backward = nn.backward
     monkeypatch.setattr(nn, "backward", lambda *a, **k: calls.append(1) or backward(*a, **k))
-    g = cam.grad_wrt_activations(m, x, 1, cache=cache)
-    assert cam.grad_wrt_activations(m, x, 1, cache=cache) is g
-    cam.gradcam_pp(m, x, 1, cam.CamConfig(score_kind="exp_logit"), cache=cache)
+    g = cam.grad_wrt_activations(m, cache, 1)
+    assert cam.grad_wrt_activations(m, cache, 1) is g
+    cam.gradcam_pp(m, cache, 1, cam.CamConfig(score_kind="exp_logit"))
     assert len(calls) == 1
     idx = nn.deepest_conv_index(m.spec)
     assert list(cache.logit_rows) == [(idx, 1)]
     with pytest.raises(ValueError):
         g[0, 0, 0] = 1.0
-    cam.hessian_diag(m, x, 1, cam.CamConfig(0, "probability"), cache)
+    cam.hessian_diag(m, cache, 1, cam.CamConfig(0, "probability"))
     assert len(calls) == 4  # target 0 is another layer: three rows of its own
     for row in cache.logit_rows.values():
         assert not row.flags.writeable
@@ -329,10 +332,57 @@ def test_logit_rows_are_memoised_read_only(monkeypatch):
             row *= 2.0
 
 
+METHODS = (cam.gradcam, cam.gradcam_pp, cam.hessian_diag, cam.grad_wrt_activations)
+
+
+def test_methods_reject_a_capture_of_several_images():
+    m, x = _vgg_nano_16()
+    two = nn.forward(m, np.stack([x, x[:, ::-1]]))
+    for fn in METHODS:
+        with pytest.raises(ShapeError, match="capture of one image, got 2"):
+            fn(m, two, 0)
+
+
+def test_methods_reject_a_train_mode_capture():
+    m, x = _vgg_nano_16()
+    train = nn.forward(m, x[None], train_mode=True, dropout_seed=1)
+    for fn in METHODS:
+        with pytest.raises(ShapeError, match="eval-mode capture, got a train-mode one"):
+            fn(m, train, 0)
+
+
+def test_captures_on_a_thread_pool_give_the_serial_bytes(monkeypatch):
+    """6 images captured and explained on 4 workers, with threads
+    switching every 10 us, give the maps of one thread byte for byte, in
+    each of 5 rounds: each capture is its own value, not state of the
+    shared model.  At 64x64 an image's work is long enough for the
+    threads to interleave."""
+    m = nn.build_model(nn.preset("vgg-nano", input_hw=(64, 64)), 41)
+    images = np.random.default_rng(41).random((6, 1, 64, 64))
+    cfg = cam.CamConfig(score_kind="exp_logit")
+
+    def explain(x):
+        cache = cam.capture(m, x)
+        c = int(cache.activations[-1][0].argmax())
+        return [(w.alpha.tobytes(), h.raw.tobytes(), h.normalized.tobytes())
+                for w, h in (cam.gradcam(m, cache, c, cfg), cam.gradcam_pp(m, cache, c, cfg))]
+    interval = sys.getswitchinterval()
+    try:
+        with tuning.one_blas_thread():
+            serial = [explain(x) for x in images]
+            monkeypatch.setattr(tuning, "workers", lambda: 4)
+            sys.setswitchinterval(1e-5)
+            pooled = [tuning.parallel_map(explain, images) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == [serial] * 5
+
+
 def test_target_layer_must_be_conv():
     m = _linear_map_model(1, np.ones((4, 1)))
     with pytest.raises(BuildError):
-        cam.gradcam(m, np.zeros((1, 2, 2)), 0, cam.CamConfig(target_layer=1))
+        cam.gradcam(m, cam.capture(m, np.zeros((1, 2, 2))), 0,
+                    cam.CamConfig(target_layer=1))
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,9 @@ BAD_INPUTS = [
      "cam.target_layer: expected an integer, got 'abc'"),
     (EXPLAIN + ["cam.hessian=fd"], 1, "unknown config key 'cam.hessian'"),
     (EXPLAIN + ["cam.fd_step=x"], 1, "unknown config key 'cam.fd_step'"),
+    # the config is read before the weights
+    (["explain", "--weights", "{root}/missing.camf", "--image", "{image}",
+      "--set", "cam.bogus=1"], 1, "unknown config key 'cam.bogus'"),
     (EXPLAIN + ["cam.target_layer=99"], 2,
      "target layer 99 is out of range; valid: 0..15"),
     (EXPLAIN + ["cam.target_layer=-16"], 2,
@@ -562,6 +565,29 @@ def test_run_txt_config_values_read_back_exactly(corpus, tmp_path):
         want = cli.load_run_config(("augment",), None,
                                    [f"augment.rotation_set={angles}"] if angles else [])
         assert cli.load_run_config(("augment",), str(again)) == want
+
+
+def test_explain_run_txt_config_replays_the_heatmaps(explain_inputs, tmp_path):
+    """The cam.* lines of an explain run.txt, cam.target_layer=None among
+    them, read back as --config and give the same heatmap bytes."""
+    base = [a.format(**explain_inputs) for a in EXPLAIN[:-3]]
+    for i, sets in enumerate(([], ["--set", "cam.target_layer=2",
+                                   "--set", "cam.score_kind=exp_logit"])):
+        first, again = str(tmp_path / f"first{i}"), str(tmp_path / f"again{i}")
+        assert run_cli(base + ["--out", first] + sets) == 0
+        cfg = tmp_path / f"cam{i}.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in _manifest(first).items()
+                               if k.startswith("cam.")))
+        assert run_cli(base + ["--out", again, "--config", str(cfg)]) == 0
+        maps = sorted(f for f in os.listdir(first) if f.endswith((".pgm", ".ppm")))
+        assert len(maps) == 4 and maps == sorted(
+            f for f in os.listdir(again) if f.endswith((".pgm", ".ppm")))
+        for name in maps:
+            with open(os.path.join(first, name), "rb") as a, \
+                    open(os.path.join(again, name), "rb") as b:
+                assert a.read() == b.read(), name
+    assert cli.load_run_config(("cam",), str(tmp_path / "cam1.cfg"),
+                               ["cam.target_layer=None"])["cam"].target_layer is None
 
 
 def test_gradcheck_command():

@@ -92,7 +92,7 @@ def test_spec_text_round_trip():
 def test_forward_rows_sum_to_one():
     m = nn.build_model(TOY, 1)
     x = np.random.default_rng(0).random((4, 1, 8, 8))
-    probs = nn.forward(m, x)
+    probs = nn.forward(m, x).activations[-1]
     assert probs.shape == (4, 3)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -106,7 +106,8 @@ def test_eval_forward_is_deterministic_and_dropout_free():
     )
     m = nn.build_model(spec, 1)
     x = np.random.default_rng(0).random((2, 1, 8, 8))
-    assert np.array_equal(nn.forward(m, x), nn.forward(m, x))
+    assert np.array_equal(nn.forward(m, x).activations[-1],
+                          nn.forward(m, x).activations[-1])
 
 
 def test_dropout_rate_zero_matches_eval():
@@ -118,8 +119,8 @@ def test_dropout_rate_zero_matches_eval():
     )
     m = nn.build_model(spec, 1)
     x = np.random.default_rng(0).random((2, 1, 8, 8))
-    assert np.array_equal(nn.forward(m, x, train_mode=True, dropout_seed=3),
-                          nn.forward(m, x))
+    assert np.array_equal(nn.forward(m, x, train_mode=True, dropout_seed=3).activations[-1],
+                          nn.forward(m, x).activations[-1])
 
 
 def test_dropout_mask_statistics():
@@ -131,8 +132,7 @@ def test_dropout_mask_statistics():
     )
     m = nn.build_model(spec, 1)
     x = np.ones((4, 1, 8, 8))
-    nn.forward(m, x, train_mode=True, dropout_seed=9, capture=True)
-    mask = m.cache.dropout_masks[3]
+    mask = nn.forward(m, x, train_mode=True, dropout_seed=9).dropout_masks[3]
     kept = (mask > 0).mean()
     # binomial(4000, 0.5): 3 sigma is about 0.024
     assert abs(kept - 0.5) < 0.03
@@ -151,8 +151,7 @@ def test_forward_shape_error():
 def test_backward_zero_upstream():
     m = nn.build_model(TOY, 2)
     x = np.random.default_rng(1).random((2, 1, 8, 8))
-    nn.forward(m, x, capture=True)
-    grads = nn.backward(m, np.zeros((2, 3)))
+    grads = nn.backward(m, nn.forward(m, x), np.zeros((2, 3)))
     for layer_grads in grads.params:
         for g in layer_grads.values():
             assert not g.any()
@@ -170,13 +169,13 @@ def test_backward_whole_model_finite_difference():
     labels = [0, 2]
 
     def loss_fn():
-        probs = nn.forward(m, x)
+        probs = nn.forward(m, x).activations[-1]
         return float(-np.log(probs[np.arange(2), labels]).mean())
 
-    probs = nn.forward(m, x, capture=True)
-    upstream = probs.copy()
+    cache = nn.forward(m, x)
+    upstream = cache.activations[-1].copy()
     upstream[np.arange(2), labels] -= 1.0
-    grads = nn.backward(m, upstream / 2.0)
+    grads = nn.backward(m, cache, upstream / 2.0)
 
     for li, name, p in m.param_items():
         def probe(v, li=li, name=name, p=p):
@@ -192,11 +191,11 @@ def test_backward_whole_model_finite_difference():
 def test_backward_activation_gradient_shape():
     m = nn.build_model(TOY, 2)
     x = np.random.default_rng(1).random((2, 1, 8, 8))
-    nn.forward(m, x, capture=True)
-    grads = nn.backward(m, np.ones((2, 3)) / 3.0)
+    cache = nn.forward(m, x)
+    grads = nn.backward(m, cache, np.ones((2, 3)) / 3.0)
     conv_idx = nn.deepest_conv_index(m.spec)
     assert (grads.activation_nchw(conv_idx + 1).shape
-            == m.activation_nchw(conv_idx + 1).shape)
+            == cache.activation_nchw(conv_idx + 1).shape)
 
 
 @pytest.mark.parametrize("target", [0, 2, 5, 7])
@@ -205,9 +204,9 @@ def test_stopped_backward_matches_full_and_skips_params(monkeypatch, target):
     assert isinstance(spec.layers[target], nn.Conv)
     m = nn.build_model(spec, 3)
     x = np.random.default_rng(5).random((2, 1, 16, 16))
-    nn.forward(m, x, capture=True)
+    cache = nn.forward(m, x)
     upstream = np.random.default_rng(6).standard_normal((2, 3))
-    full = nn.backward(m, upstream)
+    full = nn.backward(m, cache, upstream)
 
     param_grads = []
     for name in ("conv2d_backward_nhwc", "dense_backward"):
@@ -219,7 +218,7 @@ def test_stopped_backward_matches_full_and_skips_params(monkeypatch, target):
             return out
         monkeypatch.setattr(ops, name, spy)
     stop = target + 1
-    stopped = nn.backward(m, upstream, stop=stop, need_param_grads=False)
+    stopped = nn.backward(m, cache, upstream, stop=stop, need_param_grads=False)
 
     assert param_grads and all(g is None for g in param_grads)
     assert all(p == {} for p in stopped.params)
@@ -239,8 +238,8 @@ def test_training_backward_matches_reference_kernels(monkeypatch):
     upstream = np.random.default_rng(10).standard_normal((4, 3))
 
     def step():
-        nn.forward(m, x, train_mode=True, dropout_seed=4, capture=True)
-        return nn.backward(m, upstream, need_input_grad=False)
+        cache = nn.forward(m, x, train_mode=True, dropout_seed=4)
+        return nn.backward(m, cache, upstream, need_input_grad=False)
     fast = step()
     monkeypatch.setattr(ops, "maxpool2_nhwc", kernels_ref.maxpool2_nhwc)
     monkeypatch.setattr(ops, "maxpool2_backward_nhwc",
@@ -278,12 +277,11 @@ def test_sharded_dropout_draws_the_whole_batch_stream():
     layer, and the head's mask continues after the conv stack's."""
     m = nn.build_model(SHARDED, 5)
     x = np.random.default_rng(3).random((20, 1, 6, 6))
-    nn.forward(m, x, train_mode=True, dropout_seed=21, capture=True)
-    cache = m.cache
+    cache = nn.forward(m, x, train_mode=True, dropout_seed=21)
     assert [len(c.activations[0]) for c in cache.shards] == [8, 8, 4]
     assert cache.activations[:6] == [None] * 6 and cache.activations[6].shape == (20, 18)
     with pytest.raises(ShapeError, match="kept per shard"):
-        m.activation_nchw(1)
+        cache.activation_nchw(1)
 
     stream = nn.Rng(21)
     for i, shape in ((2, (20, 6, 6, 2)), (4, (20, 3, 3, 2)), (7, (20, 4))):
@@ -305,14 +303,15 @@ def test_sharded_step_matches_finite_differences_and_the_whole_batch(monkeypatch
     labels = np.arange(20) % 3
 
     def loss_fn():
-        probs = nn.forward(m, x, train_mode=True, dropout_seed=8, capture=True)
+        probs = nn.forward(m, x, train_mode=True, dropout_seed=8).activations[-1]
         return float(-np.log(probs[np.arange(20), labels]).mean())
 
-    probs = nn.forward(m, x, train_mode=True, dropout_seed=8, capture=True)
-    assert len(m.cache.shards) == 3
+    cache = nn.forward(m, x, train_mode=True, dropout_seed=8)
+    probs = cache.activations[-1]
+    assert len(cache.shards) == 3
     upstream = probs.copy()
     upstream[np.arange(20), labels] -= 1.0
-    grads = nn.backward(m, upstream / 20.0, need_input_grad=True)
+    grads = nn.backward(m, cache, upstream / 20.0, need_input_grad=True)
     assert grads.activations[0].shape == (20, 6, 6, 1)
     assert all(g is None for g in grads.activations[1:6])
     for li, name, p in m.param_items():
@@ -326,10 +325,10 @@ def test_sharded_step_matches_finite_differences_and_the_whole_batch(monkeypatch
         assert ops.max_rel_error(grads.params[li][name], fd) <= 1e-6, (li, name)
 
     monkeypatch.setattr(nn, "SHARD", 20)
-    whole_probs = nn.forward(m, x, train_mode=True, dropout_seed=8, capture=True)
-    assert m.cache.shards == []
-    whole = nn.backward(m, upstream / 20.0, need_input_grad=True)
-    assert whole_probs.tobytes() == probs.tobytes()
+    whole_cache = nn.forward(m, x, train_mode=True, dropout_seed=8)
+    assert whole_cache.shards == []
+    whole = nn.backward(m, whole_cache, upstream / 20.0, need_input_grad=True)
+    assert whole_cache.activations[-1].tobytes() == probs.tobytes()
     assert whole.activations[0].tobytes() == grads.activations[0].tobytes()
     for li, name, _ in m.param_items():
         assert ops.max_rel_error(grads.params[li][name], whole.params[li][name],
@@ -348,9 +347,10 @@ def test_sharded_step_bytes_under_more_workers_than_cores(monkeypatch):
         for workers in (1, 4):
             monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
             sys.setswitchinterval(1e-5)
-            probs = nn.forward(m, x, train_mode=True, dropout_seed=2, capture=True)
-            grads = nn.backward(m, upstream)
-            results.append([probs.tobytes(), grads.activations[0].tobytes()] +
+            cache = nn.forward(m, x, train_mode=True, dropout_seed=2)
+            grads = nn.backward(m, cache, upstream)
+            results.append([cache.activations[-1].tobytes(),
+                            grads.activations[0].tobytes()] +
                            [a.tobytes() for p in grads.params for a in p.values()])
     finally:
         sys.setswitchinterval(interval)
@@ -371,10 +371,10 @@ def test_eval_forward_gives_unbanded_probability_bytes(monkeypatch):
     probabilities of whole-batch patch matrices."""
     m = nn.build_model(nn.preset("vgg-nano"), 4)
     x = np.random.default_rng(11).random((2, 1, 128, 128))
-    fast = [nn.forward(m, x[i:i + 1]) for i in range(2)]
+    fast = [nn.forward(m, x[i:i + 1]).activations[-1] for i in range(2)]
     monkeypatch.setattr(ops, "conv2d_nhwc", kernels_ref.conv2d_nhwc_reference)
     for i in range(2):
-        assert fast[i].tobytes() == nn.forward(m, x[i:i + 1]).tobytes(), i
+        assert fast[i].tobytes() == nn.forward(m, x[i:i + 1]).activations[-1].tobytes(), i
 
 
 def test_eval_capture_keeps_no_patch_matrices(monkeypatch):
@@ -384,10 +384,9 @@ def test_eval_capture_keeps_no_patch_matrices(monkeypatch):
     m = nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 2)
     x = np.random.default_rng(12).random((2, 1, 16, 16))
     upstream = np.random.default_rng(13).standard_normal((2, 3))
-    nn.forward(m, x, capture=True)
-    cache = m.cache
+    cache = nn.forward(m, x)
     assert cache.conv_cols == {}
-    rebuilt = nn.backward(m, upstream)
+    rebuilt = nn.backward(m, cache, upstream)
 
     for i, layer in enumerate(m.spec.layers):
         if isinstance(layer, nn.Conv):
@@ -395,7 +394,7 @@ def test_eval_capture_keeps_no_patch_matrices(monkeypatch):
             _, cache.conv_cols[i] = ops.conv2d_nhwc(
                 cache.activations[i], p["weights"], p["bias"], layer.stride, layer.pad,
                 return_cols=True)
-    kept = nn.backward(m, upstream, cache=cache)
+    kept = nn.backward(m, cache, upstream)
     for li, name, _ in m.param_items():
         assert rebuilt.params[li][name].tobytes() == kept.params[li][name].tobytes()
 
@@ -428,8 +427,9 @@ def test_predict_matches_per_image_forward(monkeypatch, spec, n):
 
     want, feats = [], []
     for i in range(n):
-        want.append(nn.forward(m, x[i:i + 1], capture=True)[0])
-        feats.append(m.cache.activations[flat + 1])
+        cache = nn.forward(m, x[i:i + 1])
+        want.append(cache.activations[-1][0])
+        feats.append(cache.activations[flat + 1])
     assert [len(h) for h in heads] == [min(nn.PREDICT_CHUNK, n - i)
                                        for i in range(0, n, nn.PREDICT_CHUNK)]
     assert np.concatenate(heads).tobytes() == np.concatenate(feats).tobytes()
@@ -449,10 +449,10 @@ def test_predict_shape_error_and_no_images():
 def test_forward_from_matches_forward():
     m = nn.build_model(TOY, 4)
     x = np.random.default_rng(3).random((1, 1, 8, 8))
-    probs = nn.forward(m, x, capture=True)
+    cache = nn.forward(m, x)
     conv_idx = nn.deepest_conv_index(m.spec)
-    logits = nn.forward_from(m, conv_idx, m.activation_nchw(conv_idx + 1))
-    assert np.allclose(ops.softmax(logits), probs, atol=1e-12)
+    logits = nn.forward_from(m, conv_idx, cache.activation_nchw(conv_idx + 1))
+    assert np.allclose(ops.softmax(logits), cache.activations[-1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,8 @@ def test_save_load_round_trip(tmp_path):
     nn.save_weights(m, path)
     m2 = nn.load_weights(TOY, path)
     x = np.random.default_rng(4).random((2, 1, 8, 8))
-    assert np.array_equal(nn.forward(m, x), nn.forward(m2, x))
+    assert np.array_equal(nn.forward(m, x).activations[-1],
+                          nn.forward(m2, x).activations[-1])
     # bytes round-trip exactly
     nn.save_weights(m2, tmp_path / "w2.camf")
     assert (tmp_path / "w.camf").read_bytes() == (tmp_path / "w2.camf").read_bytes()

@@ -212,7 +212,7 @@ def test_evaluate_matches_manual():
     m = _tiny_model()
     loss, acc = optim.evaluate(m, tr.images, tr.labels)
     x = np.stack([np.moveaxis(im, -1, 0) for im in tr.images])
-    probs = nn.forward(m, x)
+    probs = nn.forward(m, x).activations[-1]
     want_loss, _ = optim.sparse_ce(probs, tr.labels)
     want_acc = float((probs.argmax(axis=1) == np.asarray(tr.labels)).mean())
     assert loss == pytest.approx(want_loss, rel=1e-12)
@@ -227,7 +227,8 @@ def test_evaluate_float32_work_copy_matches_whole_batch_forward():
     assert len(tr.images) > nn.PREDICT_CHUNK
     work = optim._compute_copy(_tiny_model())
     loss, acc = optim.evaluate(work, tr.images, tr.labels)
-    probs = nn.forward(work, np.stack([np.moveaxis(im, -1, 0) for im in tr.images]))
+    probs = nn.forward(work, np.stack([np.moveaxis(im, -1, 0)
+                                       for im in tr.images])).activations[-1]
     assert probs.dtype == np.float32
     want_loss, _ = optim.sparse_ce(probs, tr.labels)
     assert acc == int((probs.argmax(axis=1) == np.asarray(tr.labels)).sum()) / len(tr.images)
@@ -273,7 +274,7 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
 
         def wrapped(*args, **kwargs):
             if name == "backward":
-                calls["cache"] = args[0].cache  # train frees it after the step
+                calls["cache"] = args[1]  # train frees it after the step
             out = fn(*args, **kwargs)
             calls.setdefault(name, (args, kwargs, out))
             return out
@@ -302,10 +303,10 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
                for s in state[(li, name)])
 
     m64 = nn.build_model(spec, 6)
-    probs = nn.forward(m64, x, train_mode=True, dropout_seed=fwd_kwargs["dropout_seed"],
-                       capture=True)
+    cache64 = nn.forward(m64, x, train_mode=True, dropout_seed=fwd_kwargs["dropout_seed"])
     labels = [tr.labels[i] for i in order]
-    g64 = nn.backward(m64, optim.sparse_ce(probs, labels)[1], need_input_grad=False)
+    g64 = nn.backward(m64, cache64, optim.sparse_ce(cache64.activations[-1], labels)[1],
+                      need_input_grad=False)
     for li, name, _ in m.param_items():
         want = g64.params[li][name]
         err = np.abs(g32.params[li][name] - want).max() / np.abs(want).max()
