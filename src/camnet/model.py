@@ -18,10 +18,11 @@ state of a pass, so passes on one model may run on several threads.
 The saliency code runs backward stopped above its target layer and
 without parameter gradients, and reads the activation gradients only.
 
-A train-mode capture of more than SHARD images runs data-parallel: each
-shard of SHARD images goes through the layers up to the Flatten on the
-tuning pool, the head runs on the whole batch, and backward sums the
-shards' parameter gradients in shard order.  `predict` runs its
+`forward` and `backward` work on the batch they are given.  Training
+steps through `train_step`, which runs each shard of SHARD images as one
+task on the tuning pool: its train-mode forward, its rows of the loss
+gradient and its backward, so a shard's patch matrices die with its task
+and each worker holds one shard's at a time.  `predict` runs its
 per-image conv stacks on the same pool.
 """
 
@@ -62,7 +63,8 @@ class _Layer:
     forward(x, p, i, cache, drop_rng) returns the output of layer i for a
     channels-last x, with p its parameter dict.  `forward` hands its
     ForwardCache (None in `predict` and `forward_from`, which keep
-    nothing), a train-mode pass its dropout stream (None otherwise).
+    nothing), a train-mode pass the layer's own dropout stream (None
+    otherwise).
     backward(g, p, i, cache, need_input_grad, need_param_grads) takes the
     gradient w.r.t. the layer output and returns the gradient w.r.t. its
     input, cache.activations[i], and a dict of parameter gradients ({}
@@ -196,12 +198,17 @@ class Dense(_Layer):
         return (in_shape[0], self.units), in_shape[0]
 
     def forward(self, x, p, i, cache, drop_rng):
-        return ops.dense(x, p["weights"], p["bias"])
+        if cache is None or cache.total is None:
+            return ops.dense(x, p["weights"], p["bias"])
+        return cache.own_rows(ops.dense(cache.batch_rows(x), p["weights"], p["bias"]))
 
     def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
-        g, gw, gb = ops.dense_backward(cache.activations[i], p["weights"], g,
+        x = cache.activations[i]
+        if cache.total is not None:
+            x, g = cache.batch_rows(x), cache.batch_rows(g)
+        g, gw, gb = ops.dense_backward(x, p["weights"], g,
                                        need_param_grads=need_param_grads)
-        return g, ({"weights": gw, "bias": gb} if need_param_grads else {})
+        return cache.own_rows(g), ({"weights": gw, "bias": gb} if need_param_grads else {})
 
 
 @dataclass(frozen=True)
@@ -347,26 +354,40 @@ class ForwardCache:
     the im2col patch matrix of Conv layer i from a train-mode capture,
     so backward can reuse it instead of rebuilding it; an eval-mode
     capture keeps none, and a backward that computes parameter gradients
-    on it rebuilds each matrix.  logit_rows[(i, k)] memoises the saliency code's read-only gradient of
-    logit k at layer i's output, so each such backward runs once per
-    capture.  A sharded train-mode capture (see forward) keeps one
-    ForwardCache per shard in `shards`, each covering the layers up to
-    and including the Flatten; its own activations up to the Flatten's
-    input are then None, and its masks and patch matrices are the head's.
+    on it rebuilds each matrix.  logit_rows[(i, k)] memoises the saliency
+    code's read-only gradient of logit k at layer i's output, so each such
+    backward runs once per capture.  A capture of images first.. of a
+    train-mode batch of `total` images (see forward) records both; total
+    is None when the capture holds its whole batch.
     """
 
     activations: list
     dropout_masks: dict = field(default_factory=dict)
     conv_cols: dict = field(default_factory=dict)
     logit_rows: dict = field(default_factory=dict)
-    shards: list = field(default_factory=list)
+    first: int = 0
+    total: int | None = None
 
     def activation_nchw(self, i: int) -> np.ndarray:
         """activations[i] in the public (N,C,H,W) layout when 4-d."""
-        if self.activations[i] is None:
-            raise ShapeError(f"activation {i} of a sharded capture is kept per "
-                             "shard, in cache.shards")
         return _nchw(self.activations[i])
+
+    def batch_rows(self, x: np.ndarray) -> np.ndarray:
+        """x, rows of this capture's images, at their place in a zero array
+        of its whole batch's rows.  BLAS picks its GEMM kernel by the
+        matrix shape (a GEMV for one row, a small-matrix kernel below a
+        size), so a Dense GEMM on these rows rounds them as one on the
+        whole batch does; on the rows alone it can differ in the last bits."""
+        whole = np.zeros((self.total,) + x.shape[1:], dtype=x.dtype)
+        whole[self.first:self.first + len(x)] = x
+        return whole
+
+    def own_rows(self, y: np.ndarray) -> np.ndarray:
+        """This capture's images' rows of y, a result on batch_rows' rows;
+        y itself for a capture of its whole batch."""
+        if self.total is None:
+            return y
+        return y[self.first:self.first + len(self.activations[0])]
 
 
 def _nchw(arr: np.ndarray) -> np.ndarray:
@@ -434,8 +455,8 @@ def build_model(spec: ModelSpec, init_seed: int) -> Model:
     return _make_model(spec, Rng(init_seed))
 
 
-def forward(model: Model, batch, train_mode: bool = False,
-            dropout_seed: int = 0) -> ForwardCache:
+def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0,
+            first: int = 0, total: int | None = None) -> ForwardCache:
     """Run the network and return its capture: the ForwardCache of every
     layer output, whose activations[-1] are the softmax probabilities
     (N, K).  Pass it to `backward`, or to the saliency methods.
@@ -445,75 +466,101 @@ def forward(model: Model, batch, train_mode: bool = False,
     each Conv keeps its patch matrix for the backward.  The batch is cast
     to model.dtype, the dtype of every layer output.
 
-    A train-mode pass of more than SHARD images runs sharded (see
-    _forward_sharded): its cache keeps the layers up to the Flatten per
-    shard, in cache.shards.
+    With `total`, the batch is images first.. of a train-mode batch of
+    `total` images, and the pass runs as its part of a pass on the whole
+    batch: each Dropout draws the batch's slice of the block the whole
+    batch would draw (the stream is counter-based, so the slice starts at
+    its offset), and each Dense rounds as on the whole batch (see
+    ForwardCache.batch_rows).  The other layers work per image, or in
+    conv GEMMs that round as the whole batch's when large enough (see
+    SHARD).
     """
     x = np.asarray(batch, dtype=model.dtype)
     expect = tuple(model.spec.input_shape)
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ShapeError(f"batch shape {x.shape} does not match (N,)+{expect}")
+    n = len(x)
+    total = n if total is None else total
+    if (first, total) != (0, n) and not (train_mode and 0 <= first and first + n <= total):
+        raise ShapeError(f"a train-mode batch of {total} images has no images "
+                         f"{first}..{first + n - 1}")
     x = ops._to_nhwc(x)
-    if train_mode and x.shape[0] > SHARD:
-        return _forward_sharded(model, x, dropout_seed)
-    cache = ForwardCache([x])
-    _run(model, x, 0, len(model.spec.layers), cache,
-         Rng(dropout_seed) if train_mode else None)
+    cache = ForwardCache([x], first=first, total=None if total == n else total)
+    rngs = None
+    if train_mode:
+        rngs, drawn = [], 0
+        for layer, shape in zip(model.spec.layers, model.layer_shapes):
+            size = math.prod(shape)
+            rngs.append(Rng(dropout_seed, drawn + first * size))
+            if isinstance(layer, Dropout) and layer.rate > 0.0:
+                drawn += total * size
+    _run(model, x, 0, len(model.spec.layers), cache, rngs)
     return cache
 
 
-# Images per shard of a sharded train-mode step.  On a 128x128 vgg-nano
-# batch of 32 with two workers, 4, 8 and 16 images per shard were within
-# noise of each other (180, 187 and 194 ms per float32 step), against 277
-# ms for the whole batch on two BLAS threads (see CHANGES.md).  At 8 a
-# shard's smallest conv GEMM at 128x128 (the 16-channel convs, 8x64x64
-# rows) has 32768 rows, and sub-GEMMs of 2048 rows or more round as the
-# whole batch's.
+# Images per shard of a train_step.  On a 128x128 vgg-nano batch of 32
+# with two workers, 4, 8 and 16 images per shard were within noise of each
+# other (180, 187 and 194 ms per float32 step), against 277 ms for the
+# whole batch on two BLAS threads (see CHANGES.md).  At 8 a shard's
+# smallest conv GEMM at 128x128 (the 16-channel convs, 8x64x64 rows) has
+# 32768 rows, and sub-GEMMs of 2048 rows or more round as the whole
+# batch's.
 SHARD = 8
 
 
-def _forward_sharded(model: Model, x: np.ndarray, seed: int):
-    """A train-mode forward of a channels-last batch as shards of SHARD
-    images.  Returns its ForwardCache.
+# A diverging step overflows in its GEMMs; the non-finite probabilities
+# it returns are what reports that (optim.train raises DivergenceError),
+# not one numpy warning per kernel.
+_DIVERGING = {"over": "ignore", "invalid": "ignore"}
 
-    Each shard runs the layers up to and including the Flatten, keeping
-    its own ForwardCache with its patch matrices and dropout masks, on the
-    tuning pool.  The flat features are concatenated in shard order and
-    the head runs once on the whole batch.  A Dropout before the Flatten
-    draws its shard's slice of the block the whole batch would draw
-    (the stream is counter-based, so the slice starts at its offset), and
-    the head's draws continue after all of those: every mask is the
-    whole-batch pass's.  Every other layer works per image, and a
-    shard's conv GEMMs round as the whole batch's, so only the parameter
-    gradients, summed over shards, differ from a whole-batch pass.
+
+def train_step(model: Model, batch, loss_grad, dropout_seed: int = 0):
+    """One train-mode forward and backward of an (N,C,H,W) batch, shard by
+    shard of SHARD images on the tuning pool.  Returns the probabilities
+    (N, K) and the Gradients of every parameter (no activation gradients).
+
+    Each shard is one task: `forward` of its images, told their place in
+    the batch, then `backward` from loss_grad(probs, rows), the gradient
+    w.r.t. the logits of batch rows `rows` (a slice) from their
+    probabilities, as the whole batch's loss would give it.  So a shard's
+    patch matrices die with its task.  Each conv gradient is the sum of
+    the tasks' in shard order; each Dense gradient comes from one
+    ops.dense_backward on the gathered rows of its input and output
+    gradient, as on the whole batch.  Where a shard's conv GEMMs round as
+    the whole batch's (at 128x128, see SHARD), the probabilities and the
+    Dense gradients are a whole-batch pass's byte for byte, and the conv
+    gradients differ from its in rounding only.  A task's result is the
+    same whichever thread computes it.
     """
     layers = model.spec.layers
-    flat = layers.index(Flatten())
-    n = x.shape[0]
-    starts, drawn = {}, 0  # Dropout index -> first draw of image 0
-    for i in range(flat):
-        if isinstance(layers[i], Dropout) and layers[i].rate > 0.0:
-            starts[i] = drawn
-            drawn += n * math.prod(model.layer_shapes[i])
-    train = Rng(seed)  # marks a train-mode pass for the layers that draw nothing
+    convs = range(layers.index(Flatten()))  # every Conv, and no Dense
+    dense = [i for i, layer in enumerate(layers) if isinstance(layer, Dense)]
+    n = len(batch)
 
-    def shard_forward(a):
-        xs = x[a:a + SHARD]
-        cache = ForwardCache([xs])
-        for i in range(flat + 1):
-            rng = train
-            if i in starts:
-                rng = Rng(seed, starts[i] + a * math.prod(model.layer_shapes[i]))
-            xs = layers[i].forward(xs, model.params[i], i, cache, rng)
-            cache.activations.append(xs)
-        return cache
+    def task(a):
+        with np.errstate(**_DIVERGING):  # per thread
+            cache = forward(model, batch[a:a + SHARD], train_mode=True,
+                            dropout_seed=dropout_seed, first=a, total=n)
+            probs = cache.activations[-1]
+            grads = backward(model, cache, loss_grad(probs, slice(a, a + len(probs))),
+                             need_input_grad=False, need_param_grads=convs)
+        return probs, grads.params, [(cache.activations[i], grads.activations[i + 1])
+                                     for i in dense]
 
-    with tuning.one_blas_thread():
-        shards = tuning.parallel_map(shard_forward, range(0, n, SHARD))
-        feats = np.concatenate([c.activations[-1] for c in shards])
-        cache = ForwardCache([None] * (flat + 1) + [feats], shards=shards)
-        _run(model, feats, flat + 1, len(layers), cache, Rng(seed, drawn))
-    return cache
+    with tuning.one_blas_thread(), np.errstate(**_DIVERGING):
+        done = tuning.parallel_map(task, range(0, n, SHARD))
+        params = done[0][1]
+        for i in convs:
+            for name, total in params[i].items():
+                for _, more, _ in done[1:]:
+                    total += more[i][name]
+        for k, i in enumerate(dense):
+            x = np.concatenate([head[k][0] for *_, head in done])
+            g = np.concatenate([head[k][1] for *_, head in done])
+            _, gw, gb = ops.dense_backward(x, model.params[i]["weights"], g,
+                                           need_input_grad=False)
+            params[i] = {"weights": gw, "bias": gb}
+    return np.concatenate([probs for probs, *_ in done]), Gradients(params, [])
 
 
 # Images whose flat features `predict` stacks for one pass of the dense
@@ -560,12 +607,14 @@ def predict(model: Model, images) -> np.ndarray:
 
 
 def _run(model: Model, x: np.ndarray, start: int, stop: int,
-         cache: ForwardCache | None, drop_rng: Rng | None) -> np.ndarray:
+         cache: ForwardCache | None, drop_rngs: list | None) -> np.ndarray:
     """Layers start..stop-1 on a channels-last x, appending each output to
-    cache.activations when capturing."""
+    cache.activations when capturing.  drop_rngs holds a train-mode pass's
+    dropout stream of each layer, and is None otherwise."""
     layers, params = model.spec.layers, model.params
     for i in range(start, stop):
-        x = layers[i].forward(x, params[i], i, cache, drop_rng)
+        x = layers[i].forward(x, params[i], i, cache,
+                              None if drop_rngs is None else drop_rngs[i])
         if cache is not None:
             cache.activations.append(x)
     return x
@@ -586,7 +635,7 @@ class Gradients:
 
 def backward(model: Model, cache: ForwardCache, upstream: np.ndarray,
              need_input_grad: bool = True, stop: int = 0,
-             need_param_grads: bool = True) -> Gradients:
+             need_param_grads=True) -> Gradients:
     """Backpropagate from the pre-softmax logits through `cache`, the
     capture that `forward` returned.
 
@@ -598,10 +647,10 @@ def backward(model: Model, cache: ForwardCache, upstream: np.ndarray,
     gradients at indices >= stop and leaves the lower ones None.  Without
     need_param_grads, Conv and Dense layers compute their input gradient
     only and every parameter dict stays empty: the saliency code stops at
-    the layer above its target this way.  The training loop runs the full
-    pass with need_input_grad=False, which skips only the unused gradient
-    w.r.t. the input batch.  On a sharded capture the pass runs each
-    shard's layers on its own (see _backward_sharded).
+    the layer above its target this way.  need_param_grads may also be
+    the indices of the layers whose parameter gradients to compute, as
+    train_step's tasks compute the conv ones.  need_input_grad=False
+    skips only the unused gradient w.r.t. the input batch.
     """
     acts = cache.activations
     g = np.asarray(upstream, dtype=model.dtype)
@@ -612,56 +661,13 @@ def backward(model: Model, cache: ForwardCache, upstream: np.ndarray,
     param_grads = [{} for _ in range(n_layers)]
     act_grads = [None] * (n_layers + 1)
     act_grads[n_layers] = g  # by the fused convention, also the logit gradient
-    if cache.shards:
-        with tuning.one_blas_thread():
-            _backward_sharded(model, g, cache, stop, need_input_grad, need_param_grads,
-                              param_grads, act_grads)
-    else:
-        _backprop(model, g, cache, n_layers, stop, need_input_grad, need_param_grads,
-                  param_grads, act_grads)
-    return Gradients(param_grads, act_grads)
-
-
-def _backprop(model, g, cache, start, stop, need_input_grad, need_param_grads,
-              param_grads, act_grads):
-    """Layers start-1 down to stop on `cache`, filling param_grads[i] and
-    act_grads[i]."""
-    for i in range(start - 1, stop - 1, -1):
+    for i in range(n_layers - 1, stop - 1, -1):
+        need = need_param_grads if isinstance(need_param_grads, bool) \
+            else i in need_param_grads
         g, param_grads[i] = model.spec.layers[i].backward(
-            g, model.params[i], i, cache, need_input_grad or i > 0, need_param_grads)
+            g, model.params[i], i, cache, need_input_grad or i > 0, need)
         act_grads[i] = g
-
-
-def _backward_sharded(model, g, cache, stop, need_input_grad, need_param_grads,
-                      param_grads, act_grads):
-    """backward on a sharded capture: the head on the whole batch, then
-    each shard's layers on the tuning pool, from its rows of the Flatten
-    output's gradient.  Each parameter gradient is the sum of the shards'
-    in shard order.  Of the activation gradients below the Flatten
-    output, only the one at `stop` is kept, concatenated over shards."""
-    n_layers, flat = len(model.spec.layers), model.spec.layers.index(Flatten())
-    _backprop(model, g, cache, n_layers, max(stop, flat + 1), need_input_grad,
-              need_param_grads, param_grads, act_grads)
-    if stop > flat:
-        return
-    sizes = [len(c.activations[0]) for c in cache.shards]
-    rows = np.split(act_grads[flat + 1], np.cumsum(sizes)[:-1])
-
-    def shard_backward(shard):
-        shard_cache, g = shard
-        pg, ag = [{} for _ in range(flat + 1)], [None] * (flat + 2)
-        _backprop(model, g, shard_cache, flat + 1, stop, need_input_grad,
-                  need_param_grads, pg, ag)
-        return pg, ag[stop]
-
-    shards = tuning.parallel_map(shard_backward, zip(cache.shards, rows))
-    for i in range(stop, flat + 1):
-        for name, total in shards[0][0][i].items():
-            for pg, _ in shards[1:]:
-                total += pg[i][name]
-            param_grads[i][name] = total
-    if shards[0][1] is not None:
-        act_grads[stop] = np.concatenate([ag for _, ag in shards])
+    return Gradients(param_grads, act_grads)
 
 
 def forward_from(model: Model, layer_index: int, activation: np.ndarray) -> np.ndarray:

@@ -329,12 +329,12 @@ def dense(x, weights, bias) -> np.ndarray:
     return x @ weights + bias
 
 
-def dense_backward(x, weights, grad_out, need_param_grads=True):
-    """(grad_input, grad_weights, grad_bias); the last two are None without
-    need_param_grads."""
+def dense_backward(x, weights, grad_out, need_param_grads=True, need_input_grad=True):
+    """(grad_input, grad_weights, grad_bias); the first is None without
+    need_input_grad, the last two are None without need_param_grads."""
     x, weights, grad_out = _as_float(x), _as_float(weights), _as_float(grad_out)
     _check_dtype("dense grad_out", grad_out, weights)
-    grad_x = grad_out @ weights.T
+    grad_x = grad_out @ weights.T if need_input_grad else None
     if not need_param_grads:
         return grad_x, None, None
     return grad_x, x.T @ grad_out, grad_out.sum(axis=0)

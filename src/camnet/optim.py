@@ -13,10 +13,14 @@ parameters, refreshed from the masters after each step, and
 and their optimizer state.  The caller's model stays float64.
 Validation (`evaluate`) scores through `model.predict`, as `eval` does.
 
-`train` runs under `tuning.one_blas_thread()`: its batches of more than
-model.SHARD images run sharded on the tuning pool, and `optimizer_step`
-updates the masters in pieces of UPDATE_CHUNK elements on the same pool,
-so the trained bytes do not depend on the worker count or BLAS threads.
+`train` runs under `tuning.one_blas_thread()`: each batch is one
+`model.train_step`, whose shards of model.SHARD images each run forward,
+loss gradient rows and backward as one task on the tuning pool, and
+`optimizer_step` updates the masters in pieces of UPDATE_CHUNK elements
+on the same pool, so the trained bytes do not depend on the worker count
+or BLAS threads.  The step's loss is checked before `optimizer_step`: a
+non-finite one raises DivergenceError with the masters as the previous
+step left them.
 """
 
 import csv
@@ -97,9 +101,15 @@ def sparse_ce(probs, labels):
     idx = np.asarray(labels)
     picked = p[np.arange(n), idx]
     loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
-    grad = p.copy()
-    grad[np.arange(n), idx] -= 1.0
-    return loss, grad / n
+    return loss, logit_grad(p, idx, n)
+
+
+def logit_grad(probs, labels, n):
+    """sparse_ce's gradient rows for `probs` and their integer labels, in
+    a batch of n: (p - onehot) / n, in float64."""
+    grad = np.array(probs, dtype=np.float64)
+    grad[np.arange(len(grad)), labels] -= 1.0
+    return grad / n
 
 
 def init_opt_state(model: nn.Model, kind: str) -> dict:
@@ -184,9 +194,12 @@ def _compute_copy(model: nn.Model) -> nn.Model:
 
 def _refresh(work: nn.Model, model: nn.Model) -> None:
     """Round the master parameters of `model` into `work`'s copies in place,
-    after each optimizer step."""
-    for (_, _, dst), (_, _, src) in zip(work.param_items(), model.param_items()):
-        np.copyto(dst, src)
+    after each optimizer step.  A master too large for COMPUTE_DTYPE
+    becomes inf without a warning: the next step's loss is then
+    non-finite, and that DivergenceError is what gets reported."""
+    with np.errstate(over="ignore"):
+        for (_, _, dst), (_, _, src) in zip(work.param_items(), model.param_items()):
+            np.copyto(dst, src)
 
 
 def evaluate(model: nn.Model, images, labels):
@@ -242,21 +255,22 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
                                                Rng(derive_seed(config.seed, epoch, i)))
                             for im, i in zip(imgs, idx)]
                 x = np.stack([np.moveaxis(im, -1, 0) for im in imgs])  # (N, C, H, W)
-                y = [train_set.labels[i] for i in idx]
+                y = np.asarray([train_set.labels[i] for i in idx])
 
-                cache = nn.forward(work, x, train_mode=True,
-                                   dropout_seed=derive_seed(config.seed, epoch, b, 1))
-                probs = cache.activations[-1]
-                loss, dlogits = sparse_ce(probs, y)
+                probs, grads = nn.train_step(
+                    work, x, lambda p, rows: logit_grad(p, y[rows], len(y)),
+                    dropout_seed=derive_seed(config.seed, epoch, b, 1))
+                # the step has computed its gradients; the masters are
+                # untouched until its loss is known to be finite
+                loss, _ = sparse_ce(probs, y)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {b}")
-                grads = nn.backward(work, cache, dlogits, need_input_grad=False)
                 optimizer_step(config.optimizer, model, grads, state,
                                config.learning_rate)
                 _refresh(work, model)
-                cache = grads = None  # freed before the next forward builds its own
+                grads = None  # freed before the next step builds its own
                 epoch_loss += loss * len(y)
-                epoch_correct += int((probs.argmax(axis=1) == np.asarray(y)).sum())
+                epoch_correct += int((probs.argmax(axis=1) == y).sum())
 
             val_loss, val_acc = evaluate(work, val_set.images, val_set.labels)
             report.rows.append(EpochRow(

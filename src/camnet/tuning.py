@@ -15,10 +15,12 @@ idempotent.  Results are unaffected; this is safe to skip on non-glibc
 platforms.
 
 The second core is used by data parallelism, not by BLAS threads:
-`optim.train` (its sharded steps, see model.SHARD, and its chunked
-optimizer update) and `model.predict` run their pieces on one pool of
-`workers()` threads, under `one_blas_thread()`, which pins OpenBLAS to
-one thread.  numpy releases the GIL inside its GEMMs and ufuncs, so the
+`optim.train` (its `model.train_step`, one task per shard of model.SHARD
+images, and its chunked optimizer update) and `model.predict` run their
+pieces on one pool of `workers()` threads, under `one_blas_thread()`,
+which pins OpenBLAS to one thread.  A pool runs at most `workers()`
+tasks at once, so a training step holds at most that many shards' patch
+matrices.  numpy releases the GIL inside its GEMMs and ufuncs, so the
 threads compute in parallel.  A spinning OpenBLAS thread left threaded
 numpy kernels with no gain, and two workers on top of two BLAS threads
 were slower than either alone, so where the pin is missing (no OpenBLAS,

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -305,15 +306,24 @@ BAD_INPUTS = [
      "image_size must be >= 1, got -3"),
     (["synth", "--out", "{root}/zero_size", "--n", "2", "--size", "0"], 2,
      "image_size must be >= 1, got 0"),
+    # Adam's first update moves each weight by about 1e30, so the second
+    # step's GEMMs overflow float32
+    (["train", "--data", "{synth}", "--out", "{root}/diverge", "--set",
+      "train.batch_size=8", "--set", "train.learning_rate=1e30"], 2,
+     "non-finite loss at epoch 0, batch 1"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,message", BAD_INPUTS,
                          ids=[" ".join(row[0][-2:]) for row in BAD_INPUTS])
 def test_bad_input_one_error_line(explain_inputs, capsys, argv, code, message):
-    assert run_cli([a.format(**explain_inputs) for a in argv]) == code
+    # pytest would keep a warning off stderr, so record them here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([a.format(**explain_inputs) for a in argv]) == code
     assert capsys.readouterr().err.splitlines() == [
         f"error: {message.format(**explain_inputs)}"]
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def _count_calls(monkeypatch, *names):

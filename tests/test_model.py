@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from camnet import model as nn
-from camnet import ops, tuning
+from camnet import ops, optim, tuning
 from camnet.errors import (
     BuildError,
     ShapeError,
@@ -271,17 +271,34 @@ SHARDED = nn.ModelSpec(
 )
 
 
-def test_sharded_dropout_draws_the_whole_batch_stream():
+def _spy_shards(monkeypatch):
+    """{first row: (capture, Gradients)} of every shard a train_step runs
+    from here on, read from its backward call."""
+    seen = {}
+    backward = nn.backward
+
+    def spy(model, cache, *args, **kwargs):
+        grads = backward(model, cache, *args, **kwargs)
+        seen[cache.first] = (cache, grads)
+        return grads
+    monkeypatch.setattr(nn, "backward", spy)
+    return seen
+
+
+def test_sharded_dropout_draws_the_whole_batch_stream(monkeypatch):
     """20 images run as shards of 8, 8 and 4; each Dropout's masks are
     the slices of the block one whole-batch stream draws, layer after
     layer, and the head's mask continues after the conv stack's."""
     m = nn.build_model(SHARDED, 5)
     x = np.random.default_rng(3).random((20, 1, 6, 6))
-    cache = nn.forward(m, x, train_mode=True, dropout_seed=21)
-    assert [len(c.activations[0]) for c in cache.shards] == [8, 8, 4]
-    assert cache.activations[:6] == [None] * 6 and cache.activations[6].shape == (20, 18)
-    with pytest.raises(ShapeError, match="kept per shard"):
-        cache.activation_nchw(1)
+    shards = _spy_shards(monkeypatch)
+    nn.train_step(m, x, lambda p, rows: np.zeros_like(p), dropout_seed=21)
+    caches = [shards[a][0] for a in sorted(shards)]
+    assert [len(c.activations[0]) for c in caches] == [8, 8, 4]
+    assert [c.first for c in caches] == [0, 8, 16] and {c.total for c in caches} == {20}
+    # each shard's capture holds every layer's output for its own images
+    assert [c.activation_nchw(1).shape for c in caches] == [(8, 2, 6, 6), (8, 2, 6, 6),
+                                                            (4, 2, 6, 6)]
 
     stream = nn.Rng(21)
     for i, shape in ((2, (20, 6, 6, 2)), (4, (20, 3, 3, 2)), (7, (20, 4))):
@@ -289,15 +306,15 @@ def test_sharded_dropout_draws_the_whole_batch_stream():
         keep = stream.uniform_block(int(np.prod(shape))).reshape(shape) >= rate
         want = keep.astype(np.float64)
         want /= 1.0 - rate
-        got = (cache.dropout_masks[i] if i == 7 else
-               np.concatenate([c.dropout_masks[i] for c in cache.shards]))
+        got = np.concatenate([c.dropout_masks[i] for c in caches])
         assert got.tobytes() == want.tobytes(), i
 
 
 def test_sharded_step_matches_finite_differences_and_the_whole_batch(monkeypatch):
-    """A float64 train-mode step on 20 images (3 shards, the last ragged)
-    gives parameter gradients within 1e-6 of finite differences, and the
-    probabilities of a whole-batch pass byte for byte."""
+    """A float64 train step on 20 images (3 shards, the last ragged)
+    gives parameter gradients within 1e-6 of finite differences, the
+    probabilities, activation gradients and Dense gradients of a
+    whole-batch pass byte for byte, and its conv gradients within 1e-12."""
     m = nn.build_model(SHARDED, 3)
     x = np.random.default_rng(2).random((20, 1, 6, 6))
     labels = np.arange(20) % 3
@@ -306,14 +323,11 @@ def test_sharded_step_matches_finite_differences_and_the_whole_batch(monkeypatch
         probs = nn.forward(m, x, train_mode=True, dropout_seed=8).activations[-1]
         return float(-np.log(probs[np.arange(20), labels]).mean())
 
-    cache = nn.forward(m, x, train_mode=True, dropout_seed=8)
-    probs = cache.activations[-1]
-    assert len(cache.shards) == 3
-    upstream = probs.copy()
-    upstream[np.arange(20), labels] -= 1.0
-    grads = nn.backward(m, cache, upstream / 20.0, need_input_grad=True)
-    assert grads.activations[0].shape == (20, 6, 6, 1)
-    assert all(g is None for g in grads.activations[1:6])
+    shards = _spy_shards(monkeypatch)
+    probs, grads = nn.train_step(
+        m, x, lambda p, rows: optim.logit_grad(p, labels[rows], 20), dropout_seed=8)
+    shards = dict(shards)  # the whole-batch backward below is spied too
+    assert sorted(shards) == [0, 8, 16]
     for li, name, p in m.param_items():
         def probe(v, li=li, name=name, p=p):
             saved = p.copy()
@@ -324,15 +338,49 @@ def test_sharded_step_matches_finite_differences_and_the_whole_batch(monkeypatch
         fd = ops.finite_diff_grad(probe, p)
         assert ops.max_rel_error(grads.params[li][name], fd) <= 1e-6, (li, name)
 
-    monkeypatch.setattr(nn, "SHARD", 20)
     whole_cache = nn.forward(m, x, train_mode=True, dropout_seed=8)
-    assert whole_cache.shards == []
-    whole = nn.backward(m, whole_cache, upstream / 20.0, need_input_grad=True)
+    whole = nn.backward(m, whole_cache, optim.logit_grad(whole_cache.activations[-1],
+                                                         labels, 20))
     assert whole_cache.activations[-1].tobytes() == probs.tobytes()
-    assert whole.activations[0].tobytes() == grads.activations[0].tobytes()
+    # every activation gradient a shard computes (all but the input's)
+    for i in range(1, len(SHARDED.layers) + 1):
+        got = np.concatenate([shards[a][1].activations[i] for a in (0, 8, 16)])
+        assert got.tobytes() == whole.activations[i].tobytes(), i
     for li, name, _ in m.param_items():
+        if isinstance(SHARDED.layers[li], nn.Dense):
+            assert grads.params[li][name].tobytes() == whole.params[li][name].tobytes()
         assert ops.max_rel_error(grads.params[li][name], whole.params[li][name],
                                  atol=1e-15) <= 1e-12, (li, name)
+
+
+# a 1x1 Conv has one product per output, so its output is the same bytes
+# on any number of images; the head is vgg-nano's at 32x32, Dense(1024->128)
+EXACT_CONVS = nn.ModelSpec(
+    (1, 32, 32),
+    (nn.Conv(16, 1), nn.ReLU(), nn.MaxPool2(), nn.MaxPool2(), nn.Flatten(),
+     nn.Dense(128), nn.ReLU(), nn.Dropout(0.5), nn.Dense(3), nn.SoftmaxOutput()),
+    ("a", "b", "c"),
+)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_sharded_step_head_rounds_as_the_whole_batch(n):
+    """A float32 step whose last shard has 1 or 4 images gives a
+    whole-batch pass's probabilities and Dense gradients byte for byte.
+    On those rows alone, the Dense GEMMs run as a GEMV or a small-matrix
+    kernel, which can round differently from the whole batch's GEMM."""
+    m = nn.build_model(EXACT_CONVS, 9)
+    m = nn.Model(m.spec, [{k: a.astype(np.float32) for k, a in p.items()}
+                          for p in m.params], m.layer_shapes)
+    x = np.random.default_rng(n).random((n, 1, 32, 32))
+    upstream = np.random.default_rng(1).standard_normal((n, 3)) / n
+    probs, grads = nn.train_step(m, x, lambda p, rows: upstream[rows], dropout_seed=3)
+    cache = nn.forward(m, x, train_mode=True, dropout_seed=3)
+    whole = nn.backward(m, cache, upstream, need_input_grad=False)
+    assert probs.tobytes() == cache.activations[-1].tobytes()
+    for li in (5, 8):
+        for name in ("weights", "bias"):
+            assert grads.params[li][name].tobytes() == whole.params[li][name].tobytes()
 
 
 def test_sharded_step_bytes_under_more_workers_than_cores(monkeypatch):
@@ -341,16 +389,17 @@ def test_sharded_step_bytes_under_more_workers_than_cores(monkeypatch):
     m = nn.build_model(SHARDED, 7)
     x = np.random.default_rng(4).random((40, 1, 6, 6))
     upstream = np.random.default_rng(5).standard_normal((40, 3))
+    shards = _spy_shards(monkeypatch)
     results = []
     interval = sys.getswitchinterval()
     try:
         for workers in (1, 4):
             monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
             sys.setswitchinterval(1e-5)
-            cache = nn.forward(m, x, train_mode=True, dropout_seed=2)
-            grads = nn.backward(m, cache, upstream)
-            results.append([cache.activations[-1].tobytes(),
-                            grads.activations[0].tobytes()] +
+            probs, grads = nn.train_step(m, x, lambda p, rows: upstream[rows],
+                                         dropout_seed=2)
+            results.append([probs.tobytes()] +
+                           [shards[a][1].activations[1].tobytes() for a in range(0, 40, 8)] +
                            [a.tobytes() for p in grads.params for a in p.values()])
     finally:
         sys.setswitchinterval(interval)

@@ -1,10 +1,13 @@
 """Loss, optimizer steps, and the training loop."""
 
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from camnet import data, model as nn, ops, optim, tuning
-from camnet.errors import DataError
+from camnet.errors import DataError, DivergenceError
 from camnet.rng import Rng
 
 
@@ -288,8 +291,9 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
     Rng(7).shuffle(order)  # train's epoch-0 order: seed ^ 0
 
     (work, x), fwd_kwargs, _ = calls["forward"]
-    _, _, g32 = calls["backward"]
-    (_, masters, _, state, *_), _, _ = calls["optimizer_step"]
+    _, _, shard_grads = calls["backward"]
+    # the step's gradients: the shard's conv ones and the gathered Dense ones
+    (_, masters, g32, state, *_), _, _ = calls["optimizer_step"]
     cache = calls["cache"]
     assert fwd_kwargs["train_mode"] and work is not m and masters is m
     assert all(a.dtype == np.float32 for a in cache.activations)
@@ -297,7 +301,7 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
     assert all(a.dtype == np.float32 for a in cache.conv_cols.values())
     assert all(a.dtype == np.float32 for a in cache.dropout_masks.values())
     assert all(g.dtype == np.float32 for p in g32.params for g in p.values())
-    assert all(g.dtype == np.float32 for g in g32.activations if g is not None)
+    assert all(g.dtype == np.float32 for g in shard_grads.activations if g is not None)
     assert all(a.dtype == np.float64 for _, _, a in m.param_items())
     assert all(s.dtype == np.float64 for li, name, _ in m.param_items()
                for s in state[(li, name)])
@@ -311,6 +315,62 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
         want = g64.params[li][name]
         err = np.abs(g32.params[li][name] - want).max() / np.abs(want).max()
         assert err <= GRAD_RTOL, (li, name, err)
+
+
+def test_divergence_is_raised_before_the_masters_are_updated(monkeypatch):
+    """The step computes its gradients before its loss is checked; a
+    non-finite loss raises DivergenceError before optimizer_step sees
+    them, so the masters keep the bytes of the update before."""
+    calls = {"steps": 0, "masters": []}
+    train_step, optimizer_step = nn.train_step, optim.optimizer_step
+
+    def counted_step(*args, **kwargs):
+        calls["steps"] += 1
+        return train_step(*args, **kwargs)
+
+    def kept_step(kind, model, *args):
+        optimizer_step(kind, model, *args)
+        calls["masters"].append([p.copy() for _, _, p in model.param_items()])
+    monkeypatch.setattr(nn, "train_step", counted_step)
+    monkeypatch.setattr(optim, "optimizer_step", kept_step)
+    tr, va = _tiny_sets()
+    m = _tiny_model()
+    with pytest.raises(DivergenceError, match="non-finite loss at epoch 0, batch 1"):
+        optim.train(m, tr, va, optim.TrainConfig(epochs=1, batch_size=4,
+                                                 learning_rate=1e30, seed=1))
+    assert calls["steps"] == 2 and len(calls["masters"]) == 1
+    for (_, _, p), kept in zip(m.param_items(), calls["masters"][0]):
+        assert p.tobytes() == kept.tobytes()
+
+
+def test_train_holds_one_shard_per_worker(monkeypatch):
+    """One train step of 4 shards on 2 workers has at most 2 shards'
+    patch matrices alive at once: each shard's die with its task."""
+    ds = data.synth_dataset(11, image_size=16, seed=4)
+    tr = data.LabeledDataset(ds.images[:32], ds.labels[:32], ds.class_names)
+    va = data.LabeledDataset(ds.images[32:], ds.labels[32:], ds.class_names)
+    lock, alive, most, made = threading.Lock(), [0], [0], [0]
+    conv = ops.conv2d_nhwc
+
+    def died():
+        with lock:
+            alive[0] -= 1
+
+    def spy(*args, **kwargs):
+        out = conv(*args, **kwargs)
+        if kwargs.get("return_cols"):
+            weakref.finalize(out[1], died)
+            with lock:
+                alive[0] += 1
+                made[0] += 1
+                most[0] = max(most[0], alive[0])
+        return out
+    monkeypatch.setattr(ops, "conv2d_nhwc", spy)
+    monkeypatch.setattr(tuning, "workers", lambda: 2)
+    optim.train(_tiny_model(), tr, va, optim.TrainConfig(epochs=1, batch_size=32, seed=3))
+    # _tiny_model has one Conv, so one patch matrix per shard
+    assert made[0] == 4 and alive[0] == 0
+    assert most[0] <= 2
 
 
 def test_train_pins_blas_to_one_thread(monkeypatch):
