@@ -22,8 +22,10 @@ without parameter gradients, and reads the activation gradients only.
 steps through `train_step`, which runs each shard of SHARD images as one
 task on the tuning pool: its train-mode forward, its rows of the loss
 gradient and its backward, so a shard's patch matrices die with its task
-and each worker holds one shard's at a time.  `predict` runs its
-per-image conv stacks on the same pool.
+and each worker holds one shard's at a time.  A shard is a batch of its
+own for every layer but Dropout, whose masks are the shard's slice of
+the whole batch's stream.  `predict` runs its per-image conv stacks on
+the same pool.
 """
 
 import itertools
@@ -198,17 +200,12 @@ class Dense(_Layer):
         return (in_shape[0], self.units), in_shape[0]
 
     def forward(self, x, p, i, cache, drop_rng):
-        if cache is None or cache.total is None:
-            return ops.dense(x, p["weights"], p["bias"])
-        return cache.own_rows(ops.dense(cache.batch_rows(x), p["weights"], p["bias"]))
+        return ops.dense(x, p["weights"], p["bias"])
 
     def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
-        x = cache.activations[i]
-        if cache.total is not None:
-            x, g = cache.batch_rows(x), cache.batch_rows(g)
-        g, gw, gb = ops.dense_backward(x, p["weights"], g,
+        g, gw, gb = ops.dense_backward(cache.activations[i], p["weights"], g,
                                        need_param_grads=need_param_grads)
-        return cache.own_rows(g), ({"weights": gw, "bias": gb} if need_param_grads else {})
+        return g, ({"weights": gw, "bias": gb} if need_param_grads else {})
 
 
 @dataclass(frozen=True)
@@ -356,38 +353,17 @@ class ForwardCache:
     capture keeps none, and a backward that computes parameter gradients
     on it rebuilds each matrix.  logit_rows[(i, k)] memoises the saliency
     code's read-only gradient of logit k at layer i's output, so each such
-    backward runs once per capture.  A capture of images first.. of a
-    train-mode batch of `total` images (see forward) records both; total
-    is None when the capture holds its whole batch.
+    backward runs once per capture.
     """
 
     activations: list
     dropout_masks: dict = field(default_factory=dict)
     conv_cols: dict = field(default_factory=dict)
     logit_rows: dict = field(default_factory=dict)
-    first: int = 0
-    total: int | None = None
 
     def activation_nchw(self, i: int) -> np.ndarray:
         """activations[i] in the public (N,C,H,W) layout when 4-d."""
         return _nchw(self.activations[i])
-
-    def batch_rows(self, x: np.ndarray) -> np.ndarray:
-        """x, rows of this capture's images, at their place in a zero array
-        of its whole batch's rows.  BLAS picks its GEMM kernel by the
-        matrix shape (a GEMV for one row, a small-matrix kernel below a
-        size), so a Dense GEMM on these rows rounds them as one on the
-        whole batch does; on the rows alone it can differ in the last bits."""
-        whole = np.zeros((self.total,) + x.shape[1:], dtype=x.dtype)
-        whole[self.first:self.first + len(x)] = x
-        return whole
-
-    def own_rows(self, y: np.ndarray) -> np.ndarray:
-        """This capture's images' rows of y, a result on batch_rows' rows;
-        y itself for a capture of its whole batch."""
-        if self.total is None:
-            return y
-        return y[self.first:self.first + len(self.activations[0])]
 
 
 def _nchw(arr: np.ndarray) -> np.ndarray:
@@ -467,13 +443,12 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
     to model.dtype, the dtype of every layer output.
 
     With `total`, the batch is images first.. of a train-mode batch of
-    `total` images, and the pass runs as its part of a pass on the whole
-    batch: each Dropout draws the batch's slice of the block the whole
-    batch would draw (the stream is counter-based, so the slice starts at
-    its offset), and each Dense rounds as on the whole batch (see
-    ForwardCache.batch_rows).  The other layers work per image, or in
-    conv GEMMs that round as the whole batch's when large enough (see
-    SHARD).
+    `total` images, and each Dropout draws the batch's slice of the block
+    the whole batch would draw (the stream is counter-based, so the slice
+    starts at its offset).  They place the dropout stream only: every
+    other layer works on the images it is given, so a Dense GEMM rounds
+    as one on these rows, which BLAS may run with another kernel than the
+    whole batch's (see SHARD).
     """
     x = np.asarray(batch, dtype=model.dtype)
     expect = tuple(model.spec.input_shape)
@@ -485,7 +460,7 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
         raise ShapeError(f"a train-mode batch of {total} images has no images "
                          f"{first}..{first + n - 1}")
     x = ops._to_nhwc(x)
-    cache = ForwardCache([x], first=first, total=None if total == n else total)
+    cache = ForwardCache([x])
     rngs = None
     if train_mode:
         rngs, drawn = [], 0
@@ -504,14 +479,17 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
 # whole batch on two BLAS threads (see CHANGES.md).  At 8 a shard's
 # smallest conv GEMM at 128x128 (the 16-channel convs, 8x64x64 rows) has
 # 32768 rows, and sub-GEMMs of 2048 rows or more round as the whole
-# batch's.
+# batch's.  A full shard's Dense GEMMs on 8 rows gave the whole batch's
+# bytes at every vgg-nano head shape checked on OpenBLAS 0.3.31.  A short
+# last shard's need not: BLAS picks its kernel by the matrix shape, a
+# GEMV for one row and a small-matrix kernel for a few.
 SHARD = 8
 
 
 # A diverging step overflows in its GEMMs; the non-finite probabilities
 # it returns are what reports that (optim.train raises DivergenceError),
-# not one numpy warning per kernel.
-_DIVERGING = {"over": "ignore", "invalid": "ignore"}
+# not one numpy warning per kernel.  optim.train validates under it too.
+DIVERGING = {"over": "ignore", "invalid": "ignore"}
 
 
 def train_step(model: Model, batch, loss_grad, dropout_seed: int = 0):
@@ -519,18 +497,21 @@ def train_step(model: Model, batch, loss_grad, dropout_seed: int = 0):
     shard of SHARD images on the tuning pool.  Returns the probabilities
     (N, K) and the Gradients of every parameter (no activation gradients).
 
-    Each shard is one task: `forward` of its images, told their place in
-    the batch, then `backward` from loss_grad(probs, rows), the gradient
-    w.r.t. the logits of batch rows `rows` (a slice) from their
-    probabilities, as the whole batch's loss would give it.  So a shard's
-    patch matrices die with its task.  Each conv gradient is the sum of
-    the tasks' in shard order; each Dense gradient comes from one
-    ops.dense_backward on the gathered rows of its input and output
-    gradient, as on the whole batch.  Where a shard's conv GEMMs round as
-    the whole batch's (at 128x128, see SHARD), the probabilities and the
+    Each shard is one task: `forward` of its images as a batch of their
+    own, told their place in the batch for the dropout stream, then
+    `backward` from loss_grad(probs, rows), the gradient w.r.t. the
+    logits of batch rows `rows` (a slice) from their probabilities, as
+    the whole batch's loss would give it.  So a shard's patch matrices
+    die with its task.  Each conv gradient is the sum of the tasks' in
+    shard order; each Dense gradient comes from one ops.dense_backward on
+    the gathered rows of its input and output gradient, as on the whole
+    batch.  Where every shard is full and its conv GEMMs round as the
+    whole batch's (at 128x128, see SHARD), the probabilities and the
     Dense gradients are a whole-batch pass's byte for byte, and the conv
-    gradients differ from its in rounding only.  A task's result is the
-    same whichever thread computes it.
+    gradients differ from its in rounding only; a short last shard's
+    head rounds as its own rows.  A task's result is the same whichever
+    thread computes it, and the shards depend on SHARD only, so the
+    bytes do not depend on the worker count.
     """
     layers = model.spec.layers
     convs = range(layers.index(Flatten()))  # every Conv, and no Dense
@@ -538,16 +519,15 @@ def train_step(model: Model, batch, loss_grad, dropout_seed: int = 0):
     n = len(batch)
 
     def task(a):
-        with np.errstate(**_DIVERGING):  # per thread
-            cache = forward(model, batch[a:a + SHARD], train_mode=True,
-                            dropout_seed=dropout_seed, first=a, total=n)
-            probs = cache.activations[-1]
-            grads = backward(model, cache, loss_grad(probs, slice(a, a + len(probs))),
-                             need_input_grad=False, need_param_grads=convs)
+        cache = forward(model, batch[a:a + SHARD], train_mode=True,
+                        dropout_seed=dropout_seed, first=a, total=n)
+        probs = cache.activations[-1]
+        grads = backward(model, cache, loss_grad(probs, slice(a, a + len(probs))),
+                         need_input_grad=False, need_param_grads=convs)
         return probs, grads.params, [(cache.activations[i], grads.activations[i + 1])
                                      for i in dense]
 
-    with tuning.one_blas_thread(), np.errstate(**_DIVERGING):
+    with tuning.one_blas_thread(), np.errstate(**DIVERGING):  # also in the tasks
         done = tuning.parallel_map(task, range(0, n, SHARD))
         params = done[0][1]
         for i in convs:

@@ -20,7 +20,8 @@ loss gradient rows and backward as one task on the tuning pool, and
 on the same pool, so the trained bytes do not depend on the worker count
 or BLAS threads.  The step's loss is checked before `optimizer_step`: a
 non-finite one raises DivergenceError with the masters as the previous
-step left them.
+step left them.  A non-finite validation loss, which an epoch's last
+update can leave, raises DivergenceError too.
 """
 
 import csv
@@ -272,7 +273,12 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
                 epoch_loss += loss * len(y)
                 epoch_correct += int((probs.argmax(axis=1) == y).sum())
 
-            val_loss, val_acc = evaluate(work, val_set.images, val_set.labels)
+            # a diverging last step leaves overflowed weights that only
+            # validation runs on
+            with np.errstate(**nn.DIVERGING):
+                val_loss, val_acc = evaluate(work, val_set.images, val_set.labels)
+            if not np.isfinite(val_loss):
+                raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
             report.rows.append(EpochRow(
                 epoch=epoch,
                 train_loss=epoch_loss / n,

@@ -30,6 +30,7 @@ a fixed order, so outputs do not depend on the worker count.
 """
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import os
@@ -134,7 +135,9 @@ _pools = {}
 def parallel_map(fn, items) -> list:
     """[fn(item) for item in items], spread over a pool of workers()
     threads; in the calling thread when there is one worker or one item.
-    The results come back in item order."""
+    The results come back in item order.  Each task runs in a copy of the
+    caller's context (contextvars), so the caller's np.errstate, which
+    numpy 2 keeps in a context variable, holds in every task."""
     items = list(items)
     n = workers()
     if n == 1 or len(items) < 2:
@@ -143,4 +146,5 @@ def parallel_map(fn, items) -> list:
         pool = _pools.get(n)
         if pool is None:
             pool = _pools[n] = ThreadPoolExecutor(n, thread_name_prefix="camnet")
-    return list(pool.map(fn, items))
+    contexts = [contextvars.copy_context() for _ in items]
+    return list(pool.map(lambda ctx, item: ctx.run(fn, item), contexts, items))

@@ -311,6 +311,13 @@ BAD_INPUTS = [
     (["train", "--data", "{synth}", "--out", "{root}/diverge", "--set",
       "train.batch_size=8", "--set", "train.learning_rate=1e30"], 2,
      "non-finite loss at epoch 0, batch 1"),
+    # the train split is one batch at the default size: its update
+    # overflows, and only the epoch's validation runs on the result
+    (["train", "--data", "{synth}", "--set", "train.learning_rate=1e30",
+      "--out", "{root}/diverge_val"], 2, "non-finite validation loss at epoch 0"),
+    (["train", "--data", "{synth}", "--set", "train.learning_rate=1e30", "--set",
+      "train.epochs=1", "--out", "{root}/diverge_one"], 2,
+     "non-finite validation loss at epoch 0"),
 ]
 
 
@@ -613,3 +620,16 @@ def test_augment_command(corpus, tmp_path):
     b = data.load_directory(out)
     assert len(a) == len(b)
     assert not np.array_equal(a.images[0], b.images[0])
+
+
+def test_artifact_digest_tool(tmp_path):
+    """tests/artifact_digests.py prints one `name sha256` line per
+    artifact, each name once."""
+    tool = os.path.join(os.path.dirname(os.path.abspath(__file__)), "artifact_digests.py")
+    proc = subprocess.run([sys.executable, tool, str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    names = [name for name, _ in lines]
+    assert "train32_b12/model.camf" in names and len(names) == len(set(names))
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for _, d in lines)

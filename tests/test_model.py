@@ -272,16 +272,24 @@ SHARDED = nn.ModelSpec(
 
 
 def _spy_shards(monkeypatch):
-    """{first row: (capture, Gradients)} of every shard a train_step runs
-    from here on, read from its backward call."""
-    seen = {}
-    backward = nn.backward
+    """{first: (capture, Gradients, total)} of every shard a train_step
+    runs from here on, keyed by the `first` that its forward call is
+    given, with the Gradients of its backward call."""
+    seen, placed = {}, {}
+    forward, backward = nn.forward, nn.backward
 
-    def spy(model, cache, *args, **kwargs):
+    def spy_forward(model, batch, *args, first=0, total=None, **kwargs):
+        cache = forward(model, batch, *args, first=first, total=total, **kwargs)
+        placed[id(cache)] = first, total
+        return cache
+
+    def spy_backward(model, cache, *args, **kwargs):
         grads = backward(model, cache, *args, **kwargs)
-        seen[cache.first] = (cache, grads)
+        first, total = placed[id(cache)]
+        seen[first] = (cache, grads, total)
         return grads
-    monkeypatch.setattr(nn, "backward", spy)
+    monkeypatch.setattr(nn, "forward", spy_forward)
+    monkeypatch.setattr(nn, "backward", spy_backward)
     return seen
 
 
@@ -295,7 +303,7 @@ def test_sharded_dropout_draws_the_whole_batch_stream(monkeypatch):
     nn.train_step(m, x, lambda p, rows: np.zeros_like(p), dropout_seed=21)
     caches = [shards[a][0] for a in sorted(shards)]
     assert [len(c.activations[0]) for c in caches] == [8, 8, 4]
-    assert [c.first for c in caches] == [0, 8, 16] and {c.total for c in caches} == {20}
+    assert sorted(shards) == [0, 8, 16] and {total for *_, total in shards.values()} == {20}
     # each shard's capture holds every layer's output for its own images
     assert [c.activation_nchw(1).shape for c in caches] == [(8, 2, 6, 6), (8, 2, 6, 6),
                                                             (4, 2, 6, 6)]
@@ -363,12 +371,11 @@ EXACT_CONVS = nn.ModelSpec(
 )
 
 
-@pytest.mark.parametrize("n", [9, 12])
+@pytest.mark.parametrize("n", [16, 32])
 def test_sharded_step_head_rounds_as_the_whole_batch(n):
-    """A float32 step whose last shard has 1 or 4 images gives a
-    whole-batch pass's probabilities and Dense gradients byte for byte.
-    On those rows alone, the Dense GEMMs run as a GEMV or a small-matrix
-    kernel, which can round differently from the whole batch's GEMM."""
+    """A float32 step of 2 or 4 full shards gives a whole-batch pass's
+    probabilities and Dense gradients byte for byte: each shard's Dense
+    GEMMs run on its own 8 rows and round as the whole batch's."""
     m = nn.build_model(EXACT_CONVS, 9)
     m = nn.Model(m.spec, [{k: a.astype(np.float32) for k, a in p.items()}
                           for p in m.params], m.layer_shapes)
@@ -385,25 +392,28 @@ def test_sharded_step_head_rounds_as_the_whole_batch(n):
 
 def test_sharded_step_bytes_under_more_workers_than_cores(monkeypatch):
     """5 shards on 4 workers, with threads switching every 10 us, give
-    the probabilities and gradients of one worker byte for byte."""
+    the probabilities and gradients of one worker byte for byte; so do
+    33 images, whose last shard of 1 image runs its head as a GEMV."""
     m = nn.build_model(SHARDED, 7)
-    x = np.random.default_rng(4).random((40, 1, 6, 6))
-    upstream = np.random.default_rng(5).standard_normal((40, 3))
     shards = _spy_shards(monkeypatch)
-    results = []
     interval = sys.getswitchinterval()
-    try:
-        for workers in (1, 4):
-            monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
-            sys.setswitchinterval(1e-5)
-            probs, grads = nn.train_step(m, x, lambda p, rows: upstream[rows],
-                                         dropout_seed=2)
-            results.append([probs.tobytes()] +
-                           [shards[a][1].activations[1].tobytes() for a in range(0, 40, 8)] +
-                           [a.tobytes() for p in grads.params for a in p.values()])
-    finally:
-        sys.setswitchinterval(interval)
-    assert results[0] == results[1]
+    for n in (40, 33):
+        x = np.random.default_rng(4).random((n, 1, 6, 6))
+        upstream = np.random.default_rng(5).standard_normal((n, 3))
+        results = []
+        try:
+            for workers in (1, 4):
+                monkeypatch.setattr(tuning, "workers", lambda workers=workers: workers)
+                sys.setswitchinterval(1e-5)
+                probs, grads = nn.train_step(m, x, lambda p, rows: upstream[rows],
+                                             dropout_seed=2)
+                results.append([probs.tobytes()] +
+                               [shards[a][1].activations[1].tobytes()
+                                for a in range(0, n, 8)] +
+                               [a.tobytes() for p in grads.params for a in p.values()])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1], n
 
 
 def test_predict_bytes_do_not_depend_on_the_worker_count(monkeypatch):

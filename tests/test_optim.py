@@ -392,3 +392,12 @@ def test_train_pins_blas_to_one_thread(monkeypatch):
             pass
         assert tuning.blas_threads() == 1  # re-entrant: the inner exit keeps the pin
     assert tuning.blas_threads() == before
+
+
+def test_pool_tasks_run_under_the_callers_error_state(monkeypatch):
+    """Each parallel_map task sees the np.errstate of the caller, which
+    numpy 2 keeps in a context variable."""
+    monkeypatch.setattr(tuning, "workers", lambda: 2)
+    with np.errstate(over="ignore"):
+        seen = tuning.parallel_map(lambda _: np.geterr()["over"], range(4))
+    assert seen == ["ignore"] * 4
