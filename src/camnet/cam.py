@@ -149,7 +149,7 @@ def _setup(model: nn.Model, cache: nn.ForwardCache, cfg: CamConfig | None):
     if len(cache.activations[-1]) != 1:
         raise ShapeError("a saliency map needs the capture of one image, "
                          f"got {len(cache.activations[-1])}")
-    if cache.conv_cols:  # kept by a train-mode pass only
+    if cache.train_mode:
         raise ShapeError("a saliency map needs an eval-mode capture, got a train-mode one")
     cfg = cfg or CamConfig()
     return cfg, _resolve_target(model, cfg)

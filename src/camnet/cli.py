@@ -210,8 +210,8 @@ def cmd_train(args):
     manifest = datalib.SplitManifest.read_csv(manifest_path, dataset=ds)
     train_set = ds.subset(manifest.train)
     val_set = ds.subset(manifest.val)
-    for split in (train_set, val_set):
-        split.images = [datalib.minmax_normalize(img) for img in split.images]
+    for split in (train_set, val_set):  # normalized as each batch uses them
+        split.images = datalib.NormalizedImages(split.images)
 
     h, w, c = ds.image_shape()
     spec = _model_spec_for(args, ds.class_names, (h, w), c)

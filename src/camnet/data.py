@@ -10,7 +10,7 @@ All randomness goes through rng.Rng; see that module for the stream
 definition that makes every pipeline output reproducible.
 """
 
-import collections
+import collections.abc
 import csv
 import math
 import os
@@ -152,6 +152,22 @@ def minmax_normalize(img: np.ndarray) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(x)
     return (x - lo) / (hi - lo)
+
+
+class NormalizedImages(collections.abc.Sequence):
+    """Read-only sequence of `minmax_normalize(img)` over `images`, made
+    when an item is indexed or iterated.  It holds the images it is given
+    and no float copy, so a split of ImageU8 costs its uint8 bytes, and a
+    reader holds only the float images it uses at once."""
+
+    def __init__(self, images):
+        self._images = images
+
+    def __len__(self):
+        return len(self._images)
+
+    def __getitem__(self, i):
+        return minmax_normalize(self._images[i])
 
 
 # ---------------------------------------------------------------------------

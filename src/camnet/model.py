@@ -21,11 +21,11 @@ without parameter gradients, and reads the activation gradients only.
 `forward` and `backward` work on the batch they are given.  Training
 steps through `train_step`, which runs each shard of SHARD images as one
 task on the tuning pool: its train-mode forward, its rows of the loss
-gradient and its backward, so a shard's patch matrices die with its task
-and each worker holds one shard's at a time.  A shard is a batch of its
-own for every layer but Dropout, whose masks are the shard's slice of
-the whole batch's stream.  `predict` runs its per-image conv stacks on
-the same pool.
+gradient and its backward, so each worker holds one shard's patch
+matrices at a time, and each dies when its layer's backward has run.
+A shard is a batch of its own for every layer but Dropout, whose masks
+are the shard's slice of the whole batch's stream.  `predict` runs its
+per-image conv stacks on the same pool.
 """
 
 import itertools
@@ -130,7 +130,7 @@ class Conv(_Layer):
     def backward(self, g, p, i, cache, need_input_grad, need_param_grads):
         g, gw, gb = ops.conv2d_backward_nhwc(
             cache.activations[i], p["weights"], self.stride, self.pad, g,
-            need_input_grad=need_input_grad, cols=cache.conv_cols.get(i),
+            need_input_grad=need_input_grad, cols=cache.conv_cols.pop(i, None),
             need_param_grads=need_param_grads)
         return g, ({"weights": gw, "bias": gb} if need_param_grads else {})
 
@@ -347,16 +347,19 @@ class ForwardCache:
     entries are stored channels-last (the internal compute layout); use
     activation_nchw / Gradients.activation_nchw for the public (N,C,H,W)
     view.  dropout_masks[i] holds the (already 1/(1-rate)-scaled) mask
-    used by Dropout layer i during a train-mode pass.  conv_cols[i] keeps
-    the im2col patch matrix of Conv layer i from a train-mode capture,
-    so backward can reuse it instead of rebuilding it; an eval-mode
-    capture keeps none, and a backward that computes parameter gradients
-    on it rebuilds each matrix.  logit_rows[(i, k)] memoises the saliency
-    code's read-only gradient of logit k at layer i's output, so each such
+    used by Dropout layer i during a train-mode pass, whose capture has
+    train_mode set.  conv_cols[i] keeps the im2col patch matrix of Conv
+    layer i from a train-mode capture until backward consumes it, so each
+    dies when its layer's backward has run.  A later backward on the
+    capture rebuilds each matrix with the same bytes, as a backward that
+    computes parameter gradients on an eval-mode capture, which keeps
+    none, does.  logit_rows[(i, k)] memoises the saliency code's
+    read-only gradient of logit k at layer i's output, so each such
     backward runs once per capture.
     """
 
     activations: list
+    train_mode: bool = False
     dropout_masks: dict = field(default_factory=dict)
     conv_cols: dict = field(default_factory=dict)
     logit_rows: dict = field(default_factory=dict)
@@ -460,7 +463,7 @@ def forward(model: Model, batch, train_mode: bool = False, dropout_seed: int = 0
         raise ShapeError(f"a train-mode batch of {total} images has no images "
                          f"{first}..{first + n - 1}")
     x = ops._to_nhwc(x)
-    cache = ForwardCache([x])
+    cache = ForwardCache([x], train_mode)
     rngs = None
     if train_mode:
         rngs, drawn = [], 0
@@ -502,7 +505,8 @@ def train_step(model: Model, batch, loss_grad, dropout_seed: int = 0):
     `backward` from loss_grad(probs, rows), the gradient w.r.t. the
     logits of batch rows `rows` (a slice) from their probabilities, as
     the whole batch's loss would give it.  So a shard's patch matrices
-    die with its task.  Each conv gradient is the sum of the tasks' in
+    live in its task only, and each dies when its layer's backward has
+    run.  Each conv gradient is the sum of the tasks' in
     shard order; each Dense gradient comes from one ops.dense_backward on
     the gathered rows of its input and output gradient, as on the whole
     batch.  Where every shard is full and its conv GEMMs round as the

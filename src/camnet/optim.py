@@ -220,7 +220,10 @@ def train(model: nn.Model, train_set, val_set, config: TrainConfig,
     parameters; `model`'s own float64 parameters are the masters that the
     optimizer updates.
 
-    train_set / val_set are data.LabeledDataset instances.  When `augment`
+    train_set / val_set are data.LabeledDataset instances.  Their images
+    are read by index (train) and in order (validation), one batch or
+    predict chunk at a time, so with data.NormalizedImages splits only
+    the images in use are float64.  When `augment`
     is a data.AugmentConfig, each train image goes through
     data.augment_chain per epoch with an rng derived from
     (config.seed, epoch, item index); validation data is never augmented.

@@ -75,19 +75,31 @@ class Rng:
         return mix64((self._seed + self._i * GAMMA) & _MASK)
 
     def u64_block(self, n: int) -> np.ndarray:
-        """n raw outputs as a uint64 array, advancing the counter by n."""
-        idx = np.arange(self._i + 1, self._i + n + 1, dtype=np.uint64)
+        """n raw outputs as a uint64 array, advancing the counter by n.
+        Computed in place in that array, with one temporary for the shifts."""
+        z = np.arange(self._i + 1, self._i + n + 1, dtype=np.uint64)
         self._i += n
-        z = np.uint64(self._seed) + idx * np.uint64(GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(GAMMA)
+        z += np.uint64(self._seed)
+        t = np.empty_like(z)
+        for shift, mult in ((30, _M1), (27, _M2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(mult)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniform_block(self, n: int) -> np.ndarray:
-        return (self.u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z = self.u64_block(n)
+        z >>= np.uint64(11)
+        u = z.view(np.float64)  # converted into the same bytes
+        np.copyto(u, z, casting="unsafe")
+        u *= 2.0**-53
+        return u
 
     def normal(self) -> float:
         a, b = self.uniform(), self.uniform()

@@ -351,6 +351,18 @@ def test_methods_reject_a_train_mode_capture():
             fn(m, train, 0)
 
 
+def test_methods_reject_a_train_mode_capture_after_its_backward():
+    """Backward consumes a train-mode capture's patch matrices; the
+    capture is still rejected, not explained with its dropout applied."""
+    m, x = _vgg_nano_16()
+    train = nn.forward(m, x[None], train_mode=True, dropout_seed=1)
+    nn.backward(m, train, np.ones((1, 3)))
+    assert train.conv_cols == {} and train.dropout_masks
+    for fn in METHODS:
+        with pytest.raises(ShapeError, match="eval-mode capture, got a train-mode one"):
+            fn(m, train, 0)
+
+
 def test_captures_on_a_thread_pool_give_the_serial_bytes(monkeypatch):
     """6 images captured and explained on 4 workers, with threads
     switching every 10 us, give the maps of one thread byte for byte, in

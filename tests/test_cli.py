@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from camnet import cli, data, model as nn, ops, tuning
+from camnet import cli, data, model as nn, ops, optim, tuning
 
 
 def run_cli(argv):
@@ -438,6 +438,28 @@ def test_train_normalizes_only_the_train_and_val_rows(corpus, monkeypatch, tmp_p
     # every file is decoded, so a bad one is still found
     assert calls == {"read_image": 30,
                      "minmax_normalize": len(split.train) + len(split.val)}
+
+
+def test_train_writes_the_weights_of_eagerly_normalized_splits(corpus, tmp_path):
+    """`train` normalizes each image when a batch or validation uses it;
+    its weights are those of optim.train on splits normalized up front."""
+    _, d = corpus
+    out = str(tmp_path / "t")
+    assert run_cli(["train", "--data", d, "--out", out, "--seed", "4",
+                    "--set", "train.epochs=2", "--set", "train.batch_size=12"]) == 0
+
+    ds = data.load_directory(d)
+    split = data.SplitManifest.read_csv(os.path.join(d, "split.csv"), dataset=ds)
+    train_set, val_set = ds.subset(split.train), ds.subset(split.val)
+    for s in (train_set, val_set):
+        s.images = [data.minmax_normalize(img) for img in s.images]
+    model = nn.build_model(nn.parse_spec_text(_manifest(out)["model_spec"]), 4)
+    optim.train(model, train_set, val_set,
+                optim.TrainConfig(epochs=2, batch_size=12, seed=4))
+    nn.save_weights(model, tmp_path / "eager.camf")
+    with open(os.path.join(out, "model.camf"), "rb") as a, \
+            open(tmp_path / "eager.camf", "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_cached_parser_dispatches_to_the_current_command(explain_inputs, monkeypatch):

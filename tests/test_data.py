@@ -115,6 +115,25 @@ def test_minmax_constant_is_zero():
     assert not data.minmax_normalize(np.full((3, 3, 1), 9.0)).any()
 
 
+def test_normalized_images_normalize_each_item_on_use():
+    r = np.random.default_rng(3)
+    imgs = [r.integers(0, 256, (5, 4, c), dtype=np.uint8) for c in (1, 3, 1)]
+    imgs.append(np.full((5, 4, 1), 7, dtype=np.uint8))  # constant: all zeros
+    view = data.NormalizedImages(imgs)
+    want = [data.minmax_normalize(img).tobytes() for img in imgs]
+    assert [view[i].tobytes() for i in range(len(imgs))] == want
+    assert view[-1].tobytes() == want[-1]
+    assert [img.tobytes() for img in view] == want
+    assert all(img.dtype == np.float64 for img in view)
+    with pytest.raises(IndexError):
+        view[len(imgs)]
+    assert len(view) == len(imgs) and bool(view)
+    assert len(data.NormalizedImages([])) == 0 and not data.NormalizedImages([])
+    # after every read, it holds the list of uint8 images it was given, and nothing else
+    assert [v is imgs for v in vars(view).values()] == [True]
+    assert all(img.dtype == np.uint8 for img in imgs)
+
+
 # ---------------------------------------------------------------------------
 # splitting
 

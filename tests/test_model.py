@@ -458,6 +458,46 @@ def test_eval_capture_keeps_no_patch_matrices(monkeypatch):
         assert rebuilt.params[li][name].tobytes() == kept.params[li][name].tobytes()
 
 
+@pytest.mark.parametrize("compute", [False, True], ids=["float64", "float32"])
+def test_backward_consumes_each_patch_matrix_after_its_layer(monkeypatch, compute):
+    """Each Conv's backward gets the patch matrix its forward kept, when
+    that layer's and every higher layer's are already out of the capture;
+    after the pass none is left.  A second backward on the capture, which
+    rebuilds them, gives the same parameter and activation gradients."""
+    m = nn.build_model(nn.preset("vgg-nano", input_hw=(16, 16)), 3)
+    if compute:
+        m = optim._compute_copy(m)
+    x = np.random.default_rng(15).random((2, 1, 16, 16))
+    upstream = np.random.default_rng(16).standard_normal((2, 3))
+    cache = nn.forward(m, x, train_mode=True, dropout_seed=5)
+    kept = dict(cache.conv_cols)
+    convs = [i for i, layer in enumerate(m.spec.layers) if isinstance(layer, nn.Conv)]
+    assert sorted(kept) == convs
+    seen = []
+    conv_backward = ops.conv2d_backward_nhwc
+
+    def spy(x_, *args, cols=None, **kwargs):
+        i = next(i for i in convs if cache.activations[i] is x_)
+        seen.append((i, cols, set(cache.conv_cols)))
+        return conv_backward(x_, *args, cols=cols, **kwargs)
+    monkeypatch.setattr(ops, "conv2d_backward_nhwc", spy)
+
+    first = nn.backward(m, cache, upstream)
+    assert [i for i, *_ in seen] == convs[::-1]
+    for i, cols, left in seen:
+        assert cols is kept[i], i
+        assert left == {j for j in convs if j < i}, i
+    assert cache.conv_cols == {}
+
+    seen.clear()
+    second = nn.backward(m, cache, upstream)
+    assert [cols for _, cols, _ in seen] == [None] * len(convs)
+    for li, name, _ in m.param_items():
+        assert first.params[li][name].tobytes() == second.params[li][name].tobytes()
+    for i, (a, b) in enumerate(zip(first.activations, second.activations)):
+        assert a.tobytes() == b.tobytes(), i
+
+
 _NANO16 = nn.preset("vgg-nano", input_hw=(16, 16))
 
 

@@ -280,6 +280,8 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
                 calls["cache"] = args[1]  # train frees it after the step
             out = fn(*args, **kwargs)
             calls.setdefault(name, (args, kwargs, out))
+            if name == "forward":  # backward consumes the patch matrices
+                calls.setdefault("conv_cols", dict(out.conv_cols))
             return out
         monkeypatch.setattr(module, name, wrapped)
     spy(nn, "forward")
@@ -297,8 +299,8 @@ def test_train_step_computes_in_float32_against_float64_masters(monkeypatch):
     cache = calls["cache"]
     assert fwd_kwargs["train_mode"] and work is not m and masters is m
     assert all(a.dtype == np.float32 for a in cache.activations)
-    assert len(cache.conv_cols) == 4 and len(cache.dropout_masks) == 1
-    assert all(a.dtype == np.float32 for a in cache.conv_cols.values())
+    assert len(calls["conv_cols"]) == 4 and len(cache.dropout_masks) == 1
+    assert all(a.dtype == np.float32 for a in calls["conv_cols"].values())
     assert all(a.dtype == np.float32 for a in cache.dropout_masks.values())
     assert all(g.dtype == np.float32 for p in g32.params for g in p.values())
     assert all(g.dtype == np.float32 for g in shard_grads.activations if g is not None)
