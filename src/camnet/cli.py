@@ -117,7 +117,7 @@ def environment() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+    except (TypeError, KeyError):  # a build config without the BLAS name or version
         blas = "unknown"
     return {
         "python": platform.python_version(), "numpy": np.__version__, "blas": blas,

@@ -54,7 +54,8 @@ class DataError(CamnetError):
 
 
 class DivergenceError(CamnetError):
-    """Training loss became NaN; the message names the epoch and batch."""
+    """Training or validation loss became NaN or infinite; the message names
+    the epoch, and for a training loss also the batch."""
 
 
 class ConfigError(CamnetError):

@@ -382,11 +382,14 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
 
 
 def max_rel_error(a, b, atol: float = 1e-9) -> float:
-    """Max elementwise relative error, ignoring pairs that agree within atol."""
+    """Max elementwise relative error over the pairs that disagree: a pair
+    agrees only when a == b or |a - b| <= atol.  A NaN, or an infinity
+    against a finite value, reads inf."""
     a, b = _as_float(a), _as_float(b)
-    diff = np.abs(a - b)
-    denom = np.maximum(np.abs(a), np.abs(b))
-    mask = diff > atol
-    if not mask.any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(a - b)
+        rel = diff / np.maximum(np.abs(a), np.abs(b))
+    disagree = (a != b) & ~(diff <= atol)
+    if not disagree.any():
         return 0.0
-    return float((diff[mask] / denom[mask]).max())
+    return float(np.where(np.isfinite(rel), rel, np.inf)[disagree].max())

@@ -121,12 +121,9 @@ def one_blas_thread():
 def workers() -> int:
     """Threads of the pool: one per CPU this process may run on, or one
     where OpenBLAS cannot be pinned to one thread."""
-    if _openblas() is None:
+    if _openblas() is None:  # as wherever /proc/self/maps is missing (off Linux)
         return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))  # on Linux, which has /proc/self/maps
 
 
 _pools = {}

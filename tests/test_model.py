@@ -141,8 +141,16 @@ def test_dropout_mask_statistics():
 
 def test_forward_shape_error():
     m = nn.build_model(TOY, 0)
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError, match=r"batch shape \(1, 1, 9, 9\)"):
         nn.forward(m, np.zeros((1, 1, 9, 9)))
+    for train_mode, first, total, images in (
+            (False, 0, 4, "0..1"),   # an eval-mode pass is never a shard
+            (True, 3, 4, "3..4"),    # a shard that runs past the batch's end
+            (True, -1, 4, "-1..0")):  # a shard that starts before image 0
+        with pytest.raises(ShapeError, match=rf"a train-mode batch of {total} "
+                                             rf"images has no images {images}$"):
+            nn.forward(m, np.zeros((2, 1, 8, 8)), train_mode=train_mode,
+                       first=first, total=total)
 
 
 # ---------------------------------------------------------------------------

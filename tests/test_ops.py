@@ -362,3 +362,18 @@ def test_finite_diff_square():
 def test_max_rel_error_ignores_tiny_pairs():
     assert ops.max_rel_error([0.0, 1.0], [1e-12, 1.0]) == 0.0
     assert ops.max_rel_error([1.0], [2.0]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("a, b", [([np.nan], [1.0]), ([1.0], [np.nan]),
+                                  ([np.nan], [np.nan]), ([np.inf], [1.0]),
+                                  ([1.0], [-np.inf]), ([np.inf], [-np.inf]),
+                                  ([0.0, np.nan], [0.0, 0.0])])
+def test_max_rel_error_reads_inf_for_a_non_finite_disagreement(a, b):
+    with np.errstate(all="raise"):
+        assert ops.max_rel_error(a, b) == np.inf
+
+
+def test_max_rel_error_agreeing_pairs_read_zero():
+    assert ops.max_rel_error([np.inf, -np.inf], [np.inf, -np.inf]) == 0.0
+    assert ops.max_rel_error([1.0, 2.0], [1.0 + 5e-10, 2.0 - 5e-10]) == 0.0
+    assert ops.max_rel_error([1.0, np.inf], [1.0 + 5e-10, np.inf]) == 0.0
